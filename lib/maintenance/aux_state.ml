@@ -12,13 +12,6 @@ module TH = Hashtbl.Make (struct
   let hash = Tuple.hash
 end)
 
-module VH = Hashtbl.Make (struct
-  type t = Value.t
-
-  let equal = Value.equal
-  let hash = Value.hash
-end)
-
 (* Physical layout: groups are row ids into parallel typed columns (see
    {!Column}) — one column per Plain / Sum_of / extremum attribute plus a
    dense count column. [map] indexes group keys (stored in the plain
@@ -37,10 +30,10 @@ type saved_group =
 
 type txn = { saved : saved_group TH.t; total0 : int }
 
-(* One secondary index: per distinct column value, an [Icol] bucket of row
-   ids; [pos] is row-parallel and holds each row's offset within its bucket
-   so removal is O(1) swap-with-last on the bucket. *)
-type index = { buckets : Icol.t VH.t; pos : Icol.t }
+(* One secondary index over one or more plain columns ([cols], positions
+   among the plains): a multi-valued {!Rowindex} from the cells at [cols]
+   to the rows holding them. *)
+type index = { cols : int array; rows : Rowindex.t }
 
 (* One hash-shard of the resident state. Every row-parallel structure lives
    per shard, so during a parallel apply each domain owns a disjoint set of
@@ -52,8 +45,7 @@ type shard = {
   cnts : Icol.t;
   map : Rowmap.t;  (** group key (= plain cells) -> row id *)
   by_key : Rowmap.t option;  (** base key value -> row id *)
-  indexes : (int * index) list;
-      (** per indexed column: its position among plains, and its index *)
+  indexes : index list;  (** secondary indexes, ordered by [cols] *)
   mutable total : int;
   mutable txn : txn option;
   scratch : Tuple.t;
@@ -88,7 +80,23 @@ let key_hash_cols (plains : Column.t array) r =
 
 let nrows sh = Icol.length sh.cnts
 
-let create ?(indexed_columns = []) ?(shards = 1) ?dict_pool spec schema =
+(* Hash of the cells at [cols] of row [r]; agrees with [Tuple.hash] of the
+   boxed values, which is what probes pass. *)
+let cols_hash (plains : Column.t array) cols r =
+  Array.fold_left (fun acc c -> (acc * 31) + Column.hash_cell plains.(c) r) 17 cols
+
+let cols_same (plains : Column.t array) cols r r' =
+  Array.for_all (fun c -> Column.same_cells plains.(c) r r') cols
+
+let make_index (plains : Column.t array) cols =
+  {
+    cols;
+    rows =
+      Rowindex.create ~hash:(cols_hash plains cols) ~same:(cols_same plains cols) ();
+  }
+
+let create ?(indexed_columns = []) ?(indexed_keys = []) ?(shards = 1) ?dict_pool
+    spec schema =
   if shards < 1 || shards land (shards - 1) <> 0 then
     invalid_arg
       (Printf.sprintf "Aux_state.create(%s): shard count %d is not a power of two"
@@ -111,20 +119,24 @@ let create ?(indexed_columns = []) ?(shards = 1) ?dict_pool spec schema =
       Array.of_list
         (List.map (fun col -> Column.create ?dict:(dict_for col) ()) plain_cols)
     in
+    let position col =
+      match Auxview.plain_position spec col with
+      | Some pos -> pos
+      | None ->
+        (* a misspelled index column must not degrade to a silent full
+           scan on every probe *)
+        invalid_arg
+          (Printf.sprintf
+             "Aux_state.create(%s): indexed column %s is not a plain column \
+              of the view"
+             spec.Auxview.name col)
+    in
     let indexes =
       List.map
-        (fun col ->
-          match Auxview.plain_position spec col with
-          | Some pos -> (pos, { buckets = VH.create 64; pos = Icol.create () })
-          | None ->
-            (* a misspelled index column must not degrade to a silent full
-               scan on every probe *)
-            invalid_arg
-              (Printf.sprintf
-                 "Aux_state.create(%s): indexed column %s is not a plain \
-                  column of the view"
-                 spec.Auxview.name col))
-        (List.sort_uniq String.compare indexed_columns)
+        (fun cols -> make_index plains (Array.of_list (List.map position cols)))
+        (List.sort_uniq compare
+           (List.map (fun c -> [ c ]) indexed_columns
+           @ List.filter (fun cols -> cols <> []) indexed_keys))
     in
     {
       plains;
@@ -209,36 +221,19 @@ let group_key_at (sh : shard) r =
 (* --- secondary indexes --------------------------------------------------- *)
 
 let index_add_row (sh : shard) r =
-  List.iter
-    (fun (pos, idx) ->
-      let v = Column.get sh.plains.(pos) r in
-      let bucket =
-        match VH.find_opt idx.buckets v with
-        | Some b -> b
-        | None ->
-          let b = Icol.create () in
-          VH.add idx.buckets v b;
-          b
-      in
-      Icol.append bucket r;
-      Icol.append idx.pos (Icol.length bucket - 1))
-    sh.indexes
+  List.iter (fun idx -> Rowindex.append idx.rows r) sh.indexes
 
-(* Remove row [r] from every bucket (its [pos] slot is reclaimed by the
-   caller's row-parallel swap-delete). *)
-let index_remove_row (sh : shard) r =
-  List.iter
-    (fun (pos, idx) ->
-      let v = Column.get sh.plains.(pos) r in
-      let bucket = VH.find idx.buckets v in
-      let p = Icol.get idx.pos r in
-      let last = Icol.length bucket - 1 in
-      let moved = Icol.get bucket last in
-      Icol.set bucket p moved;
-      Icol.set idx.pos moved p;
-      Icol.swap_delete bucket last;
-      if Icol.length bucket = 0 then VH.remove idx.buckets v)
-    sh.indexes
+(* Rows of [idx] whose indexed cells equal [vals] (in [idx.cols] order). *)
+let index_iter (sh : shard) idx (vals : Value.t array) f =
+  Rowindex.iter_key idx.rows ~hash:(Tuple.hash vals)
+    ~eq:(fun r ->
+      let n = Array.length vals in
+      let rec ok i =
+        i >= n
+        || Column.equal_cell sh.plains.(idx.cols.(i)) r vals.(i) && ok (i + 1)
+      in
+      ok 0)
+    f
 
 (* --- row attach / detach ------------------------------------------------- *)
 
@@ -295,7 +290,8 @@ let delete_row s (sh : shard) ~hash r =
            ~hash:(Column.hash_cell sh.plains.(s.key_plain_pos) r)
            r))
     sh.by_key;
-  index_remove_row sh r;
+  (* each index renumbers row [l] into [r] itself, from the cells of both *)
+  List.iter (fun idx -> Rowindex.swap_delete idx.rows r) sh.indexes;
   ignore (Rowmap.remove_value sh.map ~hash r);
   if r <> l then begin
     (* row [l] is about to move into slot [r]; re-point its entries while
@@ -309,19 +305,12 @@ let delete_row s (sh : shard) ~hash r =
           (Rowmap.rename_value bk
              ~hash:(Column.hash_cell sh.plains.(s.key_plain_pos) l)
              ~old_row:l ~new_row:r))
-      sh.by_key;
-    List.iter
-      (fun (pos, idx) ->
-        let v = Column.get sh.plains.(pos) l in
-        let bucket = VH.find idx.buckets v in
-        Icol.set bucket (Icol.get idx.pos l) r)
-      sh.indexes
+      sh.by_key
   end;
   Array.iter (fun c -> Column.swap_delete c r) sh.plains;
   Array.iter (fun c -> Column.swap_delete c r) sh.sums;
   Array.iter (fun c -> Column.swap_delete c r) sh.exts;
-  Icol.swap_delete sh.cnts r;
-  List.iter (fun (_, idx) -> Icol.swap_delete idx.pos r) sh.indexes
+  Icol.swap_delete sh.cnts r
 
 (* --- transactions -------------------------------------------------------- *)
 
@@ -499,10 +488,13 @@ let copy s =
           sh.by_key;
       indexes =
         List.map
-          (fun (pos, idx) ->
-            let buckets = VH.create (max 16 (VH.length idx.buckets)) in
-            VH.iter (fun v b -> VH.add buckets v (Icol.copy b)) idx.buckets;
-            (pos, { buckets; pos = Icol.copy idx.pos }))
+          (fun idx ->
+            {
+              idx with
+              rows =
+                Rowindex.copy idx.rows ~hash:(cols_hash plains idx.cols)
+                  ~same:(cols_same plains idx.cols);
+            })
           sh.indexes;
       total = sh.total;
       txn = None;
@@ -531,32 +523,22 @@ let by_key_mem b k gkey =
     | Some r -> row_matches_key sh r gkey
     | None -> false)
 
-let index_positions s =
-  match Array.to_list s.shards with
-  | [] -> []
-  | sh :: _ -> List.map fst sh.indexes
+let index_columns s = List.map (fun idx -> idx.cols) s.shards.(0).indexes
 
-let index_size s pos =
-  sum_over_shards s (fun sh ->
-      match List.assoc_opt pos sh.indexes with
-      | None -> 0
-      | Some idx ->
-        VH.fold (fun _ bucket acc -> acc + Icol.length bucket) idx.buckets 0)
+let find_index (sh : shard) cols =
+  List.find_opt (fun idx -> idx.cols = cols) sh.indexes
 
-let index_mem b pos v key =
+(* Whether b's index over [cols] reaches the group [key] through its
+   indexed cells. *)
+let index_mem b cols key =
   let sh = b.shards.(shard_of_key b key) in
-  match List.assoc_opt pos sh.indexes with
+  match find_index sh cols with
   | None -> false
-  | Some idx -> (
-    match VH.find_opt idx.buckets v with
-    | None -> false
-    | Some bucket ->
-      let n = Icol.length bucket in
-      let rec scan i =
-        i < n
-        && (row_matches_key sh (Icol.get bucket i) key || scan (i + 1))
-      in
-      scan 0)
+  | Some idx ->
+    let found = ref false in
+    index_iter sh idx (Array.map (fun c -> key.(c)) cols) (fun r ->
+        if row_matches_key sh r key then found := true);
+    !found
 
 let group_cells_equal (sh : shard) r (cnt, (sums : Value.t array), (exts : Value.t array)) =
   Icol.get sh.cnts r = cnt
@@ -621,30 +603,26 @@ let equal a b =
   && (match a.shards.(0).by_key, b.shards.(0).by_key with
      | None, None | Some _, Some _ -> true
      | Some _, None | None, Some _ -> false)
-  && index_positions a = index_positions b
+  && index_columns a = index_columns b
+  (* every indexed group of [a] is reachable through the same index of [b];
+     with equal group counts this is index equality *)
   && List.for_all
-       (fun pos ->
-         index_size a pos = index_size b pos
-         && Array.for_all
-              (fun sh ->
-                match List.assoc_opt pos sh.indexes with
-                | None -> true
-                | Some idx ->
-                  VH.fold
-                    (fun v bucket acc ->
-                      acc
-                      &&
-                      let n = Icol.length bucket in
-                      let rec scan i =
-                        i >= n
-                        || index_mem b pos v
-                             (group_key_at sh (Icol.get bucket i))
-                           && scan (i + 1)
-                      in
-                      scan 0)
-                    idx.buckets true)
-              a.shards)
-       (index_positions a)
+       (fun cols ->
+         Array.for_all
+           (fun sh ->
+             match find_index sh cols with
+             | None -> true
+             | Some idx ->
+               Rowindex.length idx.rows = nrows sh
+               &&
+               let ok = ref true in
+               for r = 0 to nrows sh - 1 do
+                 if !ok && not (index_mem b cols (group_key_at sh r)) then
+                   ok := false
+               done;
+               !ok)
+           a.shards)
+       (index_columns a)
 
 let row_count = group_count
 let base_count s = sum_over_shards s (fun sh -> sh.total)
@@ -693,31 +671,37 @@ let iter s f =
       done)
     s.shards
 
+let iter_where s ~columns vals f =
+  let cols =
+    Array.of_list
+      (List.map
+         (fun c ->
+           match Auxview.plain_position s.spec c with
+           | Some pos -> pos
+           | None -> raise Not_found)
+         columns)
+  in
+  if Array.length vals <> Array.length cols then
+    invalid_arg "Aux_state.iter_where: one value per column";
+  Array.iter
+    (fun sh ->
+      match find_index sh cols with
+      | Some idx -> index_iter sh idx vals (fun r -> f (row_of sh r))
+      | None ->
+        (* unindexed fallback: scan *)
+        for r = 0 to nrows sh - 1 do
+          if
+            Array.for_all2
+              (fun c v -> Column.equal_cell sh.plains.(c) r v)
+              cols vals
+          then f (row_of sh r)
+        done)
+    s.shards
+
 let rows_with s ~column v =
-  match Auxview.plain_position s.spec column with
-  | None -> raise Not_found
-  | Some pos ->
-    Array.fold_left
-      (fun acc sh ->
-        match List.assoc_opt pos sh.indexes with
-        | Some idx -> (
-          match VH.find_opt idx.buckets v with
-          | None -> acc
-          | Some bucket ->
-            let acc = ref acc in
-            for i = 0 to Icol.length bucket - 1 do
-              acc := row_of sh (Icol.get bucket i) :: !acc
-            done;
-            !acc)
-        | None ->
-          (* unindexed fallback: scan *)
-          let acc = ref acc in
-          for r = 0 to nrows sh - 1 do
-            if Column.equal_cell sh.plains.(pos) r v then
-              acc := row_of sh r :: !acc
-          done;
-          !acc)
-      [] s.shards
+  let acc = ref [] in
+  iter_where s ~columns:[ column ] [| v |] (fun row -> acc := row :: !acc);
+  !acc
 
 let plain_of s (row : row) col =
   match Auxview.plain_position s.spec col with
@@ -781,9 +765,6 @@ let fold_columns s f acc =
 let offheap_bytes s =
   fold_columns s (fun acc c -> acc + Column.offheap_bytes c) 0
 
-(* Per-entry estimate for a stdlib Hashtbl bucket (Cons: 4 words). *)
-let table_entry_bytes = 32
-
 let byte_size s =
   let cells = fold_columns s (fun acc c -> acc + Column.byte_size c) 0 in
   let structures =
@@ -792,12 +773,7 @@ let byte_size s =
         acc + Icol.byte_size sh.cnts + Rowmap.byte_size sh.map
         + (match sh.by_key with Some bk -> Rowmap.byte_size bk | None -> 0)
         + List.fold_left
-            (fun acc (_, idx) ->
-              VH.fold
-                (fun _ bucket acc ->
-                  acc + Icol.byte_size bucket + table_entry_bytes)
-                idx.buckets
-                (acc + Icol.byte_size idx.pos))
+            (fun acc idx -> acc + Rowindex.byte_size idx.rows)
             0 sh.indexes)
       0 s.shards
   in

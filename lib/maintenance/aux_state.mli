@@ -39,11 +39,15 @@ val sums : t -> row -> Relational.Value.t array
 (** Fresh boxed extrema, in {!Mindetail.Auxview.ext_columns} order. *)
 val exts : t -> row -> Relational.Value.t array
 
-(** [create ?indexed_columns ?shards spec schema] prepares empty state.
-    [indexed_columns] (plain columns, typically the foreign keys of a root
-    view) get secondary indexes so {!rows_with} is O(matching groups) instead
-    of a scan — the engine uses this to make dimension-update propagation
-    proportional to the affected rows.
+(** [create ?indexed_columns ?indexed_keys ?shards spec schema] prepares
+    empty state. [indexed_columns] (plain columns, typically the foreign
+    keys of a root view) get one secondary index each, and every column
+    list of [indexed_keys] one composite index, so {!rows_with} and
+    {!iter_where} are O(matching groups) instead of a scan — the engine
+    uses this to make dimension-update propagation, and the recomputation
+    of dirty MIN/MAX groups (indexed on the view's group-key columns),
+    proportional to the affected rows. An index is a {!Rowindex}: 8 bytes
+    per group plus one head slot per distinct key.
 
     [shards] (a power of two, default 1) splits every group-keyed structure
     — groups, by-key map, secondary indexes, undo journal, totals — into
@@ -61,6 +65,7 @@ val exts : t -> row -> Relational.Value.t array
     or if [shards] is not a positive power of two. *)
 val create :
   ?indexed_columns:string list ->
+  ?indexed_keys:string list list ->
   ?shards:int ->
   ?dict_pool:Dict.pool ->
   Mindetail.Auxview.t ->
@@ -147,6 +152,13 @@ val iter : t -> (row -> unit) -> unit
     O(result) when [column] was indexed at {!create}; falls back to a scan
     otherwise. *)
 val rows_with : t -> column:string -> Relational.Value.t -> row list
+
+(** [iter_where s ~columns vals f] applies [f] to the groups whose plain
+    [columns] equal [vals]: through the index over exactly [columns] when
+    one was built at {!create} (O(result)), by a scan otherwise.
+    @raise Not_found if a column is not kept plainly. *)
+val iter_where :
+  t -> columns:string list -> Relational.Value.t array -> (row -> unit) -> unit
 
 (** [plain_of s row col] reads the projection of base column [col].
     @raise Not_found if the column is not kept plainly. *)

@@ -214,6 +214,18 @@ let equal_cell c i v =
   | S_boxed a, _ -> Value.equal a.(i) v
   | (S_int _ | S_float _ | S_dict _), _ -> false
 
+(* Interned codes are unique per string, so dictionary cells compare by
+   code without decoding. *)
+let same_cells c i j =
+  check c i "same_cells";
+  check c j "same_cells";
+  match c.storage with
+  | S_empty -> assert false
+  | S_int a -> a.{i} = a.{j}
+  | S_float a -> Float.equal a.{i} a.{j}
+  | S_dict { codes; _ } -> Int32.equal codes.{i} codes.{j}
+  | S_boxed a -> Value.equal a.(i) a.(j)
+
 (* Must agree with [Value.hash] cell-for-cell: shard routing and map probes
    hash boxed tuples on one side and stored cells on the other. *)
 let hash_cell c i =

@@ -60,6 +60,9 @@ val swap_delete : t -> int -> unit
     the cell. *)
 val equal_cell : t -> int -> Relational.Value.t -> bool
 
+(** [same_cells c i j] whether rows [i] and [j] hold equal cells. *)
+val same_cells : t -> int -> int -> bool
+
 (** [hash_cell c i] is [Value.hash (get c i)] without materializing the
     cell (string cells use the hash precomputed at intern time). *)
 val hash_cell : t -> int -> int
@@ -79,6 +82,9 @@ val combine_ext : t -> int -> Relational.Value.t -> is_min:bool -> unit
 (** Deep copy of the cells; a shared dictionary stays shared (codes are
     append-only, so they remain valid in both copies). *)
 val copy : t -> t
+
+(** Heap bytes of one boxed value (its block and payload; immediates 0). *)
+val boxed_bytes : Relational.Value.t -> int
 
 (** Bytes held by this column's cells: Bigarray payloads (which
     [Obj.reachable_words] cannot see — they live off-heap) plus an estimate

@@ -37,6 +37,26 @@ type item_plan =
   | P_group of { table : string; column : string }
   | P_agg of { agg : Aggregate.t; src : agg_src }
 
+(* How the recomputation of a dirty MIN/MAX group finds the root auxiliary
+   rows that can contribute to it, through indexes built at [init]:
+   - [Via_root]: the group attributes kept in the root auxiliary view
+     ([columns], at [pos] in the group key) — one composite-index probe;
+   - [Via_dim]: group attributes of dimension [table] — a composite-index
+     probe there, then the foreign-key walk back up [path] (root -> table);
+   - [Via_scan]: no group attribute is reachable by index (a global
+     aggregate, say): every root auxiliary row is a candidate.
+   Candidates are filtered by their full group key, so the access path only
+   has to be a superset of the group's rows. *)
+type group_access =
+  | Via_root of { columns : string list; pos : int array }
+  | Via_dim of {
+      table : string;
+      columns : string list;
+      pos : int array;
+      path : View.join list;
+    }
+  | Via_scan
+
 type t = {
   d : Derive.t;
   view : View.t;
@@ -47,6 +67,10 @@ type t = {
   plans : item_plan array;
   group_plan : (string * string) array;  (** (table, column) per group attr *)
   determined : bool;  (** the root auxiliary view was eliminated *)
+  targets : (int * Aggregate.t * Derive.agg_source) array;
+      (** MIN/MAX items recomputed when their group goes dirty: select
+          position, aggregate, and where its argument is read *)
+  group_access : group_access;
   residuals : (string, Predicate.t list) Hashtbl.t;
       (** per table: view local conditions not enforced by its auxiliary
           view (non-empty only in the no-pushdown ablation) *)
@@ -125,6 +149,16 @@ module Obs = struct
   let prepare_alloc = phase_alloc "prepare"
   let shard_apply_alloc = phase_alloc "shard-apply"
   let view_update_alloc = phase_alloc "view-update"
+
+  (* nested inside view-update: the dirty MIN/MAX groups' re-derivation *)
+  let recompute = phase "recompute"
+  let recompute_alloc = phase_alloc "recompute"
+
+  let recompute_rows =
+    Telemetry.Counter.make
+      ~help:
+        "Root auxiliary rows visited while recomputing dirty MIN/MAX groups"
+      "minview_engine_recompute_rows_total"
 
   let apply_mode m =
     Telemetry.Histogram.make
@@ -407,18 +441,20 @@ let dim_delete t table tup =
   if in_aux t table tup then Aux_state.delete_base (dim_aux t table) tup
 
 (* The unique join path root -> ... -> target, as a list of joins. *)
-let path_to t target =
+let join_path view root target =
   let rec go from =
     if String.equal from target then Some []
     else
       List.find_map
         (fun (j : View.join) ->
           Option.map (fun p -> j :: p) (go j.View.dst.Attr.table))
-        (View.joins_from t.view from)
+        (View.joins_from view from)
   in
-  match go t.root with
+  match go root with
   | Some p -> p
-  | None -> invariant "no join path from %s to %s" t.root target
+  | None -> invariant "no join path from %s to %s" root target
+
+let path_to t target = join_path t.view t.root target
 
 (* Keys of [j.src.table]'s auxiliary rows whose foreign key (j.src.column)
    lies in [targets] — one upward step of reverse chain resolution. *)
@@ -653,24 +689,85 @@ let dim_update t table ~before ~after =
   else if t.determined then dim_update_rewrite t table ~before ~after
   else dim_update_diff t table ~before ~after
 
-(* --- recomputation of dirty non-CSMAS components ----------------------- *)
+(* --- recomputation of dirty MIN/MAX groups -------------------------------- *)
 
-let finalize_distinct (agg : Aggregate.t) set =
-  let elts = VSet.elements set in
-  let n = List.length elts in
-  if n = 0 then invariant "empty DISTINCT set during recomputation";
-  match agg.Aggregate.func with
-  | Aggregate.Count -> Value.Int n
-  | Aggregate.Sum ->
-    List.fold_left Value.add (Value.zero_like (List.hd elts)) elts
-  | Aggregate.Avg ->
-    let s = List.fold_left Value.add (Value.zero_like (List.hd elts)) elts in
-    Value.div_as_float s (Value.Int n)
-  | Aggregate.Min -> List.hd elts
-  | Aggregate.Max -> List.nth elts (n - 1)
-  | Aggregate.Count_star -> assert false
+(* Applies [f] to a superset of the root auxiliary rows of group [key]
+   (see [group_access]); O(the group's rows) except for [Via_scan]. *)
+let iter_group_rows t root_st key f =
+  match t.group_access with
+  | Via_root { columns; pos } ->
+    Aux_state.iter_where root_st ~columns (Array.map (fun p -> key.(p)) pos) f
+  | Via_dim { table; columns; pos; path } -> (
+    let st = dim_aux t table in
+    let key_col = (schema t table).Schema.key in
+    let keys = ref VSet.empty in
+    Aux_state.iter_where st ~columns
+      (Array.map (fun p -> key.(p)) pos)
+      (fun row -> keys := VSet.add (Aux_state.plain_of st row key_col) !keys);
+    match path with
+    | [] -> invariant "group access through the root's own dimension path"
+    | j1 :: rest ->
+      let fks =
+        List.fold_left (fun targets j -> reach_step t j targets) !keys
+          (List.rev rest)
+      in
+      VSet.iter
+        (fun v ->
+          Aux_state.iter_where root_st ~columns:[ j1.View.src.Attr.column ]
+            [| v |] f)
+        fks)
+  | Via_scan -> Aux_state.iter root_st f
 
-type recompute_acc = R_extremum of Value.t option ref | R_distinct of VSet.t ref
+(* Re-derive the extrema of the dirty groups from their auxiliary rows —
+   from the plain column or, in append-only mode (where dimension updates
+   can still regroup rows), from the root view's pre-aggregated MIN/MAX
+   column. DISTINCT aggregates never go dirty: their multisets are exact. *)
+let recompute_dirty t root_st dirty_keys =
+  let visited = ref 0 in
+  List.iter
+    (fun key ->
+      let best = Array.make (Array.length t.targets) None in
+      iter_group_rows t root_st key (fun row ->
+          incr visited;
+          match extend_root t root_st row with
+          | Some env when Tuple.equal (group_key t env) key ->
+            Array.iteri
+              (fun j (_, agg, src) ->
+                let a =
+                  match src with
+                  | Derive.From_plain { table; column } -> read t env table column
+                  | Derive.From_min { table; column } -> (
+                    match List.assoc table env with
+                    | Auxrow (st, arow) -> Aux_state.min_of st arow column
+                    | Base tup -> tup.(Schema.index_of (schema t table) column))
+                  | Derive.From_max { table; column } -> (
+                    match List.assoc table env with
+                    | Auxrow (st, arow) -> Aux_state.max_of st arow column
+                    | Base tup -> tup.(Schema.index_of (schema t table) column))
+                  | Derive.From_sum _ | Derive.From_count ->
+                    invariant "CSMAS marked for recomputation"
+                in
+                best.(j) <-
+                  (match best.(j) with
+                  | None -> Some a
+                  | Some m ->
+                    let better =
+                      match agg.Aggregate.func with
+                      | Aggregate.Min -> Value.compare a m < 0
+                      | Aggregate.Max -> Value.compare a m > 0
+                      | _ -> assert false
+                    in
+                    Some (if better then a else m)))
+              t.targets
+          | Some _ | None -> ());
+      (* a group removed since being dirtied has no view entry and stays
+         silent in set_value *)
+      Array.iteri
+        (fun j (i, _, _) ->
+          Option.iter (View_state.set_value t.vstate ~key ~item:i) best.(j))
+        t.targets)
+    dirty_keys;
+  Telemetry.Counter.inc Obs.recompute_rows !visited
 
 let flush_dirty t =
   match View_state.take_dirty t.vstate with
@@ -686,97 +783,8 @@ let flush_dirty t =
       | Some st -> st
       | None -> invariant "dirty groups without a root auxiliary view"
     in
-    (* items needing recomputation: aggregates that are not CSMAS under the
-       paper's standard classification. Their value is re-derived from the
-       auxiliary rows — from the plain column, or (append-only mode, where
-       dimension updates can still regroup rows) from the pre-aggregated
-       MIN/MAX column of the root view. *)
-    let targets =
-      Array.to_list t.plans
-      |> List.mapi (fun i plan -> (i, plan))
-      |> List.filter_map (fun (i, plan) ->
-             match plan with
-             | P_agg { agg; src = _ } when not (Mindetail.Classify.is_csmas agg)
-               -> (
-               match Derive.agg_source t.d agg with
-               | Some (Derive.From_plain _ as src) -> Some (i, agg, src)
-               | Some ((Derive.From_min _ | Derive.From_max _) as src) ->
-                 Some (i, agg, src)
-               | _ -> None)
-             | P_agg _ | P_group _ -> None)
-    in
-    let dirty : recompute_acc array TH.t = TH.create 16 in
-    List.iter
-      (fun key ->
-        if not (TH.mem dirty key) then
-          TH.add dirty key
-            (Array.of_list
-               (List.map
-                  (fun (_, agg, _) ->
-                    if agg.Aggregate.distinct then R_distinct (ref VSet.empty)
-                    else R_extremum (ref None))
-                  targets)))
-      dirty_keys;
-    Aux_state.iter root_st (fun row ->
-        match extend_root t root_st row with
-        | None -> ()
-        | Some env ->
-          let key = group_key t env in
-          (match TH.find_opt dirty key with
-          | None -> ()
-          | Some accs ->
-            List.iteri
-              (fun j (_, agg, src) ->
-                let a =
-                  match src with
-                  | Derive.From_plain { table; column } ->
-                    read t env table column
-                  | Derive.From_min { table; column } -> (
-                    match List.assoc table env with
-                    | Auxrow (st, arow) -> Aux_state.min_of st arow column
-                    | Base tup ->
-                      tup.(Schema.index_of (schema t table) column))
-                  | Derive.From_max { table; column } -> (
-                    match List.assoc table env with
-                    | Auxrow (st, arow) -> Aux_state.max_of st arow column
-                    | Base tup ->
-                      tup.(Schema.index_of (schema t table) column))
-                  | Derive.From_sum _ | Derive.From_count ->
-                    invariant "CSMAS marked for recomputation"
-                in
-                match accs.(j) with
-                | R_distinct set -> set := VSet.add a !set
-                | R_extremum cur ->
-                  cur :=
-                    Some
-                      (match !cur with
-                      | None -> a
-                      | Some m ->
-                        let better =
-                          match agg.Aggregate.func with
-                          | Aggregate.Min -> Value.compare a m < 0
-                          | Aggregate.Max -> Value.compare a m > 0
-                          | _ -> assert false
-                        in
-                        if better then a else m))
-              targets));
-    TH.iter
-      (fun key accs ->
-        (* groups removed since being dirtied have no view entry and stay
-           silent in set_value *)
-        List.iteri
-          (fun j (i, agg, _) ->
-            match accs.(j) with
-            | R_distinct set ->
-              if not (VSet.is_empty !set) then
-                View_state.set_value t.vstate ~key ~item:i
-                  (finalize_distinct agg !set)
-            | R_extremum cur -> (
-              match !cur with
-              | Some v -> View_state.set_value t.vstate ~key ~item:i v
-              | None -> ()))
-          targets)
-      dirty
+    Telemetry.with_phase Obs.recompute ~alloc:Obs.recompute_alloc
+      "engine.recompute" (fun () -> recompute_dirty t root_st dirty_keys)
 
 (* The paper-facing dashboard: per auxiliary view, resident rows vs. the
    detail rows they stand for (the sum of the stored count weights) — the
@@ -857,6 +865,65 @@ let init ?(fk_index = true) db (d : Derive.t) =
   List.iter
     (fun tbl -> Hashtbl.add residuals tbl (Derive.residual_locals d tbl))
     view.View.tables;
+  let targets =
+    Array.of_list
+      (List.concat
+         (List.mapi
+            (fun i plan ->
+              match plan with
+              | P_agg { agg; src = _ }
+                when (not agg.Aggregate.distinct)
+                     && (agg.Aggregate.func = Aggregate.Min
+                        || agg.Aggregate.func = Aggregate.Max) -> (
+                match Derive.agg_source d agg with
+                | Some
+                    ((Derive.From_plain _ | Derive.From_min _ | Derive.From_max _)
+                     as src) ->
+                  [ (i, agg, src) ]
+                | _ -> [])
+              | P_agg _ | P_group _ -> [])
+            (Array.to_list plans)))
+  in
+  (* the cheapest index path from a group key to its root auxiliary rows:
+     the group attributes the root view keeps, else those of the first
+     dimension whose view keeps them (only needed when MIN/MAX can go
+     dirty) *)
+  let group_access =
+    let kept tbl =
+      match Derive.spec_for d tbl with
+      | None -> []
+      | Some spec ->
+        List.filter
+          (fun (_, (a : Attr.t)) ->
+            String.equal a.Attr.table tbl
+            && Auxview.plain_position spec a.Attr.column <> None)
+          (List.mapi (fun i a -> (i, a)) (View.group_attrs view))
+    in
+    let columns attrs = List.map (fun (_, (a : Attr.t)) -> a.Attr.column) attrs in
+    let pos attrs = Array.of_list (List.map fst attrs) in
+    if determined || Array.length targets = 0 then Via_scan
+    else
+      match kept root with
+      | _ :: _ as attrs -> Via_root { columns = columns attrs; pos = pos attrs }
+      | [] -> (
+        match
+          List.find_map
+            (fun tbl ->
+              match kept tbl with
+              | [] -> None
+              | attrs -> Some (tbl, attrs))
+            (List.filter (fun tbl -> not (String.equal tbl root)) view.View.tables)
+        with
+        | Some (table, attrs) ->
+          Via_dim
+            {
+              table;
+              columns = columns attrs;
+              pos = pos attrs;
+              path = join_path view root table;
+            }
+        | None -> Via_scan)
+  in
   (* Everything the engine can ever read off a root base tuple: group-by and
      aggregate sources, view local-condition columns, outgoing join foreign
      keys, and — when the root auxiliary view is retained — its kept,
@@ -912,6 +979,8 @@ let init ?(fk_index = true) db (d : Derive.t) =
       plans;
       group_plan;
       determined;
+      targets;
+      group_access;
       residuals;
       append_only = d.Derive.options.Derive.append_only;
       root_reads;
@@ -949,8 +1018,16 @@ let init ?(fk_index = true) db (d : Derive.t) =
                  (View.joins_from view tbl))
           else []
         in
+        (* and on the group-key columns MIN/MAX recomputation probes *)
+        let indexed_keys =
+          match group_access with
+          | Via_root { columns; _ } when String.equal tbl root -> [ columns ]
+          | Via_dim { table; columns; _ } when String.equal tbl table ->
+            [ columns ]
+          | Via_root _ | Via_dim _ | Via_scan -> []
+        in
         let st =
-          Aux_state.create ~indexed_columns
+          Aux_state.create ~indexed_columns ~indexed_keys
             ~shards:(if String.equal tbl root then nshards else 1)
             ~dict_pool spec (schema t tbl)
         in
@@ -1512,6 +1589,7 @@ let net_profile t deltas =
 (* --- inspection -------------------------------------------------------- *)
 
 let view_contents t = View_state.render t.vstate
+let view_state t = t.vstate
 
 let aux_contents t =
   List.filter_map

@@ -15,8 +15,10 @@
       against the root auxiliary view, or — when the root auxiliary view was
       eliminated — by group rewriting through the nearest key-annotated
       ancestor;
-    - non-CSMAS components (MIN/MAX under deletion, DISTINCT) are recomputed
-      for affected groups from the auxiliary views, per Section 3.2.
+    - MIN/MAX under deletion are recomputed for the groups whose extremum
+      was deleted, from exactly those groups' auxiliary rows (found through
+      an index on the group-key columns), per Section 3.2; DISTINCT
+      aggregates are kept exact by per-group value multisets.
 
     The engine also serves the PSJ (Quass et al.) baseline: it accepts any
     derivation whose specs are uncompressed. *)
@@ -109,6 +111,11 @@ val net_profile : t -> Relational.Delta.t list -> batch_profile
 
 (** Current view contents, in select-list order. *)
 val view_contents : t -> Relational.Relation.t
+
+(** The view's group state, for incremental epoch rendering
+    ({!View_state.changes_since}, {!View_state.row_of_key}); read it, never
+    mutate it. *)
+val view_state : t -> View_state.t
 
 (** Current auxiliary-view contents, in spec column order. *)
 val aux_contents : t -> (string * Relational.Relation.t) list

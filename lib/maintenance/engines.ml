@@ -127,15 +127,95 @@ let view_contents = function
   | Recompute { replica; view; _ } -> Algebra.Eval.eval replica view
   | Split p -> Partitioned.view_contents p
 
-(* Epoch capture: [view_contents] behind a guard. Every rendering path
-   builds a fresh relation (new rows, never aliasing engine internals), so
-   the result is immutable-by-construction and safe to hand to concurrent
-   readers — but only if the engine is quiescent: rendering mid-transaction
-   would freeze uncommitted group state into the published epoch. *)
+(* A full render behind a guard. Every rendering path builds a fresh
+   relation (new rows, never aliasing engine internals), so the result is
+   immutable-by-construction and safe to hand to concurrent readers — but
+   only if the engine is quiescent: rendering mid-transaction would freeze
+   uncommitted group state. *)
 let capture t =
   if in_txn t then
     invalid_arg "Engines.capture: transaction open (capture only at commit)";
   view_contents t
+
+(* --- epoch rows ------------------------------------------------------------ *)
+
+module Rows = Map.Make (Tuple)
+
+(* A view's published contents: output rows in a persistent map, so an
+   epoch built from the previous one shares every untouched row with it.
+   Incremental engines key the rows by group key and record the view-state
+   stamp they reflect; full-capture engines key each row by itself.
+   [ordered]: the map's key order is the rows' [Tuple.compare] order. *)
+type frozen = {
+  rows : Tuple.t Rows.t;
+  stamp : (int * int) option;
+  ordered : bool;
+}
+
+(* Whether the group-by items open the select list, in group-key order:
+   then distinct group keys order the rows as the rows themselves do. *)
+let keys_lead_rows (view : View.t) =
+  let rec leads = function
+    | Algebra.Select_item.Group _ :: rest -> leads rest
+    | rest ->
+      List.for_all
+        (function
+          | Algebra.Select_item.Group _ -> false
+          | Algebra.Select_item.Agg _ -> true)
+        rest
+  in
+  leads view.View.select
+
+let of_relation rel =
+  let rows =
+    Relation.fold
+      (fun row n acc ->
+        (* view outputs are sets: every output row carries its group key *)
+        if n <> 1 then invalid_arg "Engines.freeze: duplicate output row";
+        Rows.add row row acc)
+      rel Rows.empty
+  in
+  ({ rows; stamp = None; ordered = true }, Rows.cardinal rows)
+
+let freeze_state engine =
+  let vs = Engine.view_state engine in
+  let stamp = View_state.stamp vs in
+  let rows = View_state.fold_rows vs Rows.add Rows.empty in
+  ( { rows; stamp = Some stamp; ordered = keys_lead_rows (View_state.view vs) },
+    Rows.cardinal rows )
+
+let freeze ?prev t =
+  if in_txn t then
+    invalid_arg "Engines.freeze: transaction open (freeze only at commit)";
+  match t, prev with
+  | Incremental { engine; _ }, Some ({ stamp = Some stamp; _ } as prev) -> (
+    let vs = Engine.view_state engine in
+    match View_state.changes_since vs stamp with
+    | `Same -> (prev, 0)
+    | `Keys keys ->
+      let rows =
+        List.fold_left
+          (fun rows key ->
+            match View_state.row_of_key vs key with
+            | Some row -> Rows.add key row rows
+            | None -> Rows.remove key rows)
+          prev.rows keys
+      in
+      ( { prev with rows; stamp = Some (View_state.stamp vs) },
+        List.length keys )
+    | `All -> freeze_state engine)
+  | Incremental { engine; _ }, _ -> freeze_state engine
+  | (Recompute _ | Split _), _ -> of_relation (view_contents t)
+
+let frozen_relation f =
+  let rel = Relation.create ~size_hint:(Rows.cardinal f.rows) () in
+  Rows.iter (fun _ row -> Relation.insert rel row) f.rows;
+  rel
+
+let frozen_sorted f =
+  let rows = Rows.fold (fun _ row acc -> (row, 1) :: acc) f.rows [] in
+  if f.ordered then List.rev rows
+  else List.sort (fun (a, _) (b, _) -> Tuple.compare a b) rows
 
 let detail_profile = function
   | Incremental { engine; _ } ->

@@ -92,12 +92,40 @@ val apply_batch : ?parallel:Shard.pool -> t -> Relational.Delta.t list -> unit
     ([Tuple.compare] ascending). *)
 val view_contents : t -> Relational.Relation.t
 
-(** [capture t] is {!view_contents} for read-epoch publication: the fresh,
-    never-aliased relation is safe to share with concurrent readers for as
-    long as they like. Guarded — capturing under an open batch transaction
-    would publish uncommitted state.
+(** [capture t] is {!view_contents} behind the commit-point guard: a full
+    render of the committed contents, as a fresh, never-aliased relation
+    safe to share with concurrent readers for as long as they like.
+    Capturing under an open batch transaction would expose uncommitted
+    state. (Epoch publication uses {!freeze}, which renders only what a
+    batch changed.)
     @raise Invalid_argument if a transaction is open. *)
 val capture : t -> Relational.Relation.t
+
+(** {2 Epoch rows}
+
+    A view's contents as published to readers: a persistent map of frozen
+    output rows. Successive freezes of an incremental engine share every
+    row the batch in between did not change. *)
+
+type frozen
+
+(** [freeze ?prev t] is the committed view contents, and how many rows it
+    rendered. With [prev] — [t]'s freeze before the one committed batch
+    since — an incremental engine starts from [prev] and re-renders only
+    the groups that batch changed (the keys of its view-state journal), so
+    the cost follows the batch, not the view. Otherwise, and always for the
+    recompute baseline and partitioned configurations, it renders the full
+    contents, like {!capture}.
+    @raise Invalid_argument if a transaction is open. *)
+val freeze : ?prev:frozen -> t -> frozen * int
+
+(** The frozen rows as a fresh relation (multiplicity 1 each). *)
+val frozen_relation : frozen -> Relational.Relation.t
+
+(** The frozen rows in canonical order (as
+    {!Relational.Relation.to_sorted_list}), without sorting when the view's
+    group-by items lead its select list. *)
+val frozen_sorted : frozen -> (Relational.Tuple.t * int) list
 
 (** (object name, rows, fields per row) of all detail data this
     configuration stores besides the view itself. *)

@@ -12,6 +12,8 @@ module TH = Hashtbl.Make (struct
   let hash = Tuple.hash
 end)
 
+module VM = Map.Make (Value)
+
 type contrib =
   | C_count of int
   | C_sum of { amount : Value.t; n : int }
@@ -22,7 +24,7 @@ type agg_state =
   | S_count of int
   | S_sum of { sum : Value.t; n : int }
   | S_extremum of Value.t option
-  | S_distinct of Value.t option
+  | S_distinct of int VM.t  (** argument value -> base rows carrying it *)
 
 type group = { mutable cnt0 : int; accs : agg_state array }
 
@@ -142,7 +144,7 @@ let initial_state (item : Select_item.t) =
   match item with
   | Select_item.Group _ -> S_count 0 (* placeholder, never consulted *)
   | Select_item.Agg agg -> (
-    if agg.Aggregate.distinct then S_distinct None
+    if agg.Aggregate.distinct then S_distinct VM.empty
     else
       match agg.Aggregate.func with
       | Aggregate.Count | Aggregate.Count_star -> S_count 0
@@ -164,16 +166,24 @@ let combine_extremum (agg : Aggregate.t) cur v =
     in
     Some (if better then v else m)
 
-(* The finalized value of a DISTINCT aggregate over a singleton value set —
-   the determined case. *)
-let singleton_distinct (agg : Aggregate.t) v =
-  match agg.Aggregate.func with
-  | Aggregate.Count -> Value.Int 1
-  | Aggregate.Sum | Aggregate.Min | Aggregate.Max -> v
-  | Aggregate.Avg -> Value.div_as_float v (Value.Int 1)
-  | Aggregate.Count_star -> assert false
+(* The value of a DISTINCT aggregate: over the distinct values, i.e. the
+   multiset's support. *)
+let finalize_distinct (agg : Aggregate.t) m =
+  let values = List.map fst (VM.bindings m) in
+  match values with
+  | [] -> invalid_arg "View_boxed.render: empty DISTINCT multiset"
+  | v0 :: _ -> (
+    let sum () = List.fold_left Value.add (Value.zero_like v0) values in
+    let n = Value.Int (List.length values) in
+    match agg.Aggregate.func with
+    | Aggregate.Count -> n
+    | Aggregate.Sum -> sum ()
+    | Aggregate.Avg -> Value.div_as_float (sum ()) n
+    | Aggregate.Min -> v0
+    | Aggregate.Max -> List.nth values (List.length values - 1)
+    | Aggregate.Count_star -> assert false)
 
-let apply_contrib t sh key ~sign g i (item : Select_item.t) contrib =
+let apply_contrib t sh key ~sign ~cnt g i (item : Select_item.t) contrib =
   let agg =
     match item with
     | Select_item.Agg a -> a
@@ -195,13 +205,11 @@ let apply_contrib t sh key ~sign g i (item : Select_item.t) contrib =
       | Some m when Value.equal m v -> mark_dirty sh key
       | Some _ | None -> ()
     end
-  | S_distinct cur, C_value v ->
-    if t.determined then begin
-      (* the argument is functionally determined by the group key: the value
-         set is a singleton fixed at group creation *)
-      if cur = None then g.accs.(i) <- S_distinct (Some (singleton_distinct agg v))
-    end
-    else mark_dirty sh key
+  | S_distinct m, C_value v ->
+    (* the multiset counts base rows per value: exact under deletion *)
+    let c = (sign * cnt) + Option.value (VM.find_opt v m) ~default:0 in
+    if c < 0 then invalid_arg "View_boxed: DISTINCT multiset underflow";
+    g.accs.(i) <- S_distinct (if c = 0 then VM.remove v m else VM.add v c m)
   | (S_count _ | S_sum _ | S_extremum _ | S_distinct _), _ ->
     invalid_arg "View_state: contribution does not match aggregate state"
 
@@ -220,7 +228,8 @@ let feed t ~key ~cnt contribs =
   Array.iteri
     (fun i c ->
       match c with
-      | Some contrib -> apply_contrib t sh key ~sign:1 g i t.items.(i) contrib
+      | Some contrib ->
+        apply_contrib t sh key ~sign:1 ~cnt g i t.items.(i) contrib
       | None -> ())
     contribs
 
@@ -243,7 +252,8 @@ let unfeed t ~key ~cnt contribs =
       Array.iteri
         (fun i c ->
           match c with
-          | Some contrib -> apply_contrib t sh key ~sign:(-1) g i t.items.(i) contrib
+          | Some contrib ->
+            apply_contrib t sh key ~sign:(-1) ~cnt g i t.items.(i) contrib
           | None -> ())
         contribs
 
@@ -266,9 +276,8 @@ let set_value t ~key ~item v =
     note sh key;
     match g.accs.(item) with
     | S_extremum _ -> g.accs.(item) <- S_extremum (Some v)
-    | S_distinct _ -> g.accs.(item) <- S_distinct (Some v)
-    | S_count _ | S_sum _ ->
-      invalid_arg "View_boxed.set_value: item is CSMAS-maintained")
+    | S_count _ | S_sum _ | S_distinct _ ->
+      invalid_arg "View_boxed.set_value: item is maintained exactly")
 
 type component_update = Shift_sum of Value.t | Set_current of Value.t
 
@@ -286,20 +295,13 @@ let adjust_group t ~key ~new_key updates =
     if moving then note sh' new_key;
     List.iter
       (fun (i, upd) ->
-        let agg =
-          match t.items.(i) with
-          | Select_item.Agg a -> Some a
-          | Select_item.Group _ -> None
-        in
         match g.accs.(i), upd with
         | S_sum { sum; n }, Shift_sum delta ->
           g.accs.(i) <- S_sum { sum = Value.add sum (Value.scale delta n); n }
         | S_extremum _, Set_current v -> g.accs.(i) <- S_extremum (Some v)
         | S_distinct _, Set_current v ->
-          (* the caller passes the witnessed (determined) value; finalize the
-             singleton DISTINCT here *)
-          g.accs.(i) <-
-            S_distinct (Some (singleton_distinct (Option.get agg) v))
+          (* determined argument: every base row of the group carries [v] *)
+          g.accs.(i) <- S_distinct (VM.singleton v g.cnt0)
         | (S_count _ | S_sum _ | S_extremum _ | S_distinct _), _ ->
           invalid_arg "View_boxed.adjust_group: update does not match state")
       updates;
@@ -324,8 +326,8 @@ let agg_state_equal a b =
   | S_count n, S_count m -> n = m
   | S_sum { sum; n }, S_sum { sum = sum'; n = m } ->
     Value.equal sum sum' && n = m
-  | S_extremum x, S_extremum y | S_distinct x, S_distinct y ->
-    Option.equal Value.equal x y
+  | S_extremum x, S_extremum y -> Option.equal Value.equal x y
+  | S_distinct m, S_distinct m' -> VM.equal Int.equal m m'
   | (S_count _ | S_sum _ | S_extremum _ | S_distinct _), _ -> false
 
 let group_equal (g : group) (g' : group) =
@@ -383,8 +385,9 @@ let render t =
                     | Aggregate.Sum -> sum
                     | Aggregate.Avg -> Value.div_as_float sum (Value.Int n)
                     | _ -> assert false)
-                  | S_extremum (Some v) | S_distinct (Some v) -> v
-                  | S_extremum None | S_distinct None ->
+                  | S_extremum (Some v) -> v
+                  | S_distinct m -> finalize_distinct agg m
+                  | S_extremum None ->
                     invalid_arg
                       "View_boxed.render: non-CSMAS component pending recompute"))
               t.items

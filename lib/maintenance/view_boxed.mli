@@ -6,16 +6,16 @@
     Following the paper's convention that view aggregates are replaced by
     their Table 2 distributive components before maintenance (Section 3.1),
     each group stores internal components — a base-row count [cnt0], running
-    SUM/COUNT pairs, current extrema and DISTINCT results — from which the
-    visible select-list values are rendered on demand.
+    SUM/COUNT pairs, current extrema and DISTINCT argument multisets — from
+    which the visible select-list values are rendered on demand.
 
-    CSMAS components are maintained exactly under both feeds and unfeeds;
-    non-CSMAS components (MIN/MAX under deletion, DISTINCT aggregates) mark
-    their group {e dirty} so the engine can recompute them from the auxiliary
-    views, exactly as Section 3.2 prescribes. In {e determined} mode (used
-    when the root auxiliary view has been eliminated, where every non-CSMAS
-    argument is functionally determined by the group key) they are set at
-    group creation and never dirtied. *)
+    CSMAS components and DISTINCT multisets (value -> base rows carrying
+    it) are maintained exactly under both feeds and unfeeds; MIN/MAX under
+    deletion mark their group {e dirty} when the current extremum is
+    removed, so the engine can recompute them from the auxiliary views,
+    exactly as Section 3.2 prescribes. In {e determined} mode (used when the
+    root auxiliary view has been eliminated, where every non-CSMAS argument
+    is functionally determined by the group key) no group is dirtied. *)
 
 type contrib =
   | C_count of int
@@ -82,13 +82,15 @@ val feed : t -> key:Relational.Tuple.t -> cnt:int -> contrib option array -> uni
 val unfeed :
   t -> key:Relational.Tuple.t -> cnt:int -> contrib option array -> unit
 
-(** Groups marked dirty since the last call; clears the set. *)
+(** Groups marked dirty (a MIN/MAX whose extremum was deleted) since the
+    last call; clears the set. *)
 val take_dirty : t -> Relational.Tuple.t list
 
 val is_dirty_pending : t -> bool
 
-(** [set_value t ~key ~item v] overwrites the rendered value of a recomputed
-    non-CSMAS item. No-op if the group has disappeared. *)
+(** [set_value t ~key ~item v] overwrites the recomputed extremum of a
+    MIN/MAX item. No-op if the group has disappeared.
+    @raise Invalid_argument if [item] is not a non-DISTINCT MIN/MAX. *)
 val set_value : t -> key:Relational.Tuple.t -> item:int -> Relational.Value.t -> unit
 
 (** [adjust_group t ~key ~new_key updates] rewrites a group's key and applies
@@ -97,7 +99,8 @@ val set_value : t -> key:Relational.Tuple.t -> item:int -> Relational.Value.t ->
     @raise Invalid_argument if the group is missing or [new_key] collides. *)
 type component_update =
   | Shift_sum of Relational.Value.t  (** sum += delta * n *)
-  | Set_current of Relational.Value.t  (** extremum / distinct result := v *)
+  | Set_current of Relational.Value.t
+      (** extremum := v; DISTINCT multiset := every base row carries v *)
 
 val adjust_group :
   t ->

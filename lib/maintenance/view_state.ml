@@ -14,17 +14,71 @@ module TH = Hashtbl.Make (struct
   let hash = Tuple.hash
 end)
 
+module VM = Map.Make (Value)
+
 type contrib =
   | C_count of int
   | C_sum of { amount : Value.t; n : int }
   | C_value of Value.t
 
+(* Row-parallel DISTINCT multisets: per group, every distinct argument
+   value with the number of base rows carrying it. The maps are immutable,
+   so the undo journal saves a group's multiset by reference. *)
+module Bags = struct
+  type t = { mutable len : int; mutable cells : int VM.t array }
+
+  let create () = { len = 0; cells = [||] }
+  let get b r = b.cells.(r)
+  let set b r m = b.cells.(r) <- m
+
+  let append b m =
+    if b.len = Array.length b.cells then begin
+      let cells = Array.make (max 16 (2 * b.len)) VM.empty in
+      Array.blit b.cells 0 cells 0 b.len;
+      b.cells <- cells
+    end;
+    b.cells.(b.len) <- m;
+    b.len <- b.len + 1
+
+  let swap_delete b r =
+    let l = b.len - 1 in
+    b.cells.(r) <- b.cells.(l);
+    b.cells.(l) <- VM.empty;
+    b.len <- l
+
+  let copy b = { b with cells = Array.copy b.cells }
+end
+
+(* [n] more (or, negative, fewer) base rows carrying [v]. *)
+let bag_add m v n =
+  VM.update v
+    (fun c ->
+      match n + Option.value c ~default:0 with
+      | 0 -> None
+      | c when c > 0 -> Some c
+      | _ -> invalid_arg "View_state: DISTINCT multiset underflow")
+    m
+
+(* The value of a DISTINCT aggregate over the value set of a multiset. *)
+let finalize_distinct (agg : Aggregate.t) m =
+  match VM.min_binding_opt m with
+  | None -> invalid_arg "View_state: empty DISTINCT multiset"
+  | Some (lo, _) -> (
+    let sum () = VM.fold (fun v _ acc -> Value.add acc v) m (Value.zero_like lo) in
+    match agg.Aggregate.func with
+    | Aggregate.Count -> Value.Int (VM.cardinal m)
+    | Aggregate.Sum -> sum ()
+    | Aggregate.Avg -> Value.div_as_float (sum ()) (Value.Int (VM.cardinal m))
+    | Aggregate.Min -> lo
+    | Aggregate.Max -> fst (VM.max_binding m)
+    | Aggregate.Count_star -> assert false)
+
 (* Physical layout mirrors {!Aux_state}: groups are row ids into parallel
    typed columns — one column per group-key attribute plus per-aggregate
    component columns ([slot]s below) and a dense base-row-count column.
-   Extremum and DISTINCT components live in boxed columns because they need
-   an absent state; [Value.Null] is the [None] sentinel (base data is
-   null-free, Section 2.1). *)
+   Extremum components live in boxed columns because they need an absent
+   state; [Value.Null] is the [None] sentinel (base data is null-free,
+   Section 2.1). *)
 
 (* One aggregate's component storage across all groups of a shard. *)
 type slot =
@@ -32,7 +86,7 @@ type slot =
   | L_count of Icol.t
   | L_sum of { sum : Column.t; n : Icol.t }
   | L_ext of Column.t  (** current extremum; [Null] = pending recompute *)
-  | L_dist of Column.t  (** DISTINCT result; [Null] = pending recompute *)
+  | L_dist of Bags.t  (** DISTINCT argument multiset *)
 
 (* First-touch before-image of one group under an open transaction, keyed
    by group key (row ids are renumbered by swap-with-last deletion, so only
@@ -41,7 +95,8 @@ type saved_acc =
   | Sv_group
   | Sv_count of int
   | Sv_sum of { sum : Value.t; n : int }
-  | Sv_value of Value.t  (** extremum / distinct cell, [Null] = pending *)
+  | Sv_value of Value.t  (** extremum cell, [Null] = pending *)
+  | Sv_bag of int VM.t  (** DISTINCT multiset *)
 
 type saved_group =
   | Absent
@@ -61,15 +116,28 @@ type shard = {
   map : Rowmap.t;  (** group key (= key cells) -> row id *)
   dirty : unit TH.t;
   mutable txn : txn option;
+  mutable untracked : bool;
+      (** a group was mutated outside any transaction since the last
+          {!settle}: the changed keys are unknown *)
 }
 
+(* Change tracking for incremental epoch publication: [version] advances
+   once per committed transaction that touched a group (and once per run of
+   untracked mutations); [last_change] holds the keys the latest advance
+   touched, [None] when they are unknown. [id] tells states apart, so a
+   version number is never matched against another state's. *)
 type t = {
   view : View.t;
   determined : bool;
   items : Select_item.t array;
   mask : int;  (** shard count - 1 *)
   shards : shard array;
+  id : int;
+  mutable version : int;
+  mutable last_change : Tuple.t list option;
 }
+
+let next_id = Atomic.make 0
 
 (* Row-key hash over the key cells; must agree with [Tuple.hash] of the
    boxed group key. *)
@@ -87,7 +155,7 @@ let create ?(shards = 1) ?dict_pool view ~determined =
     match item with
     | Select_item.Group _ -> L_group
     | Select_item.Agg agg -> (
-      if agg.Aggregate.distinct then L_dist (Column.create_boxed ())
+      if agg.Aggregate.distinct then L_dist (Bags.create ())
       else
         match agg.Aggregate.func with
         | Aggregate.Count | Aggregate.Count_star -> L_count (Icol.create ())
@@ -114,6 +182,7 @@ let create ?(shards = 1) ?dict_pool view ~determined =
       map = Rowmap.create ~hash:(fun r -> key_hash_cols keys r) ();
       dirty = TH.create 16;
       txn = None;
+      untracked = true;
     }
   in
   {
@@ -122,6 +191,9 @@ let create ?(shards = 1) ?dict_pool view ~determined =
     items;
     mask = shards - 1;
     shards = Array.init shards (fun _ -> mk_shard ());
+    id = Atomic.fetch_and_add next_id 1;
+    version = 0;
+    last_change = None;
   }
 
 let shard_count t = Array.length t.shards
@@ -149,7 +221,8 @@ let saved_accs (sh : shard) r =
       | L_group -> Sv_group
       | L_count c -> Sv_count (Icol.get c r)
       | L_sum { sum; n } -> Sv_sum { sum = Column.get sum r; n = Icol.get n r }
-      | L_ext v | L_dist v -> Sv_value (Column.get v r))
+      | L_ext v -> Sv_value (Column.get v r)
+      | L_dist b -> Sv_bag (Bags.get b r))
     sh.slots
 
 (* Append a group with explicit component values (journal restore, group
@@ -165,7 +238,8 @@ let append_saved (sh : shard) key cnt0 accs =
       | L_sum { sum; n }, Sv_sum { sum = s; n = m } ->
         Column.append sum s;
         Icol.append n m
-      | (L_ext v | L_dist v), Sv_value x -> Column.append v x
+      | L_ext v, Sv_value x -> Column.append v x
+      | L_dist b, Sv_bag m -> Bags.append b m
       | (L_group | L_count _ | L_sum _ | L_ext _ | L_dist _), _ ->
         assert false)
     sh.slots;
@@ -192,7 +266,8 @@ let append_fresh (sh : shard) key (contribs : contrib option array) =
         in
         Column.append sum zero;
         Icol.append n 0
-      | L_ext v | L_dist v -> Column.append v Value.Null)
+      | L_ext v -> Column.append v Value.Null
+      | L_dist b -> Bags.append b VM.empty)
     sh.slots;
   Icol.append sh.cnt0 0;
   Rowmap.add sh.map ~hash:(Tuple.hash key) r;
@@ -215,7 +290,8 @@ let delete_row (sh : shard) r =
       | L_sum { sum; n } ->
         Column.swap_delete sum r;
         Icol.swap_delete n r
-      | L_ext v | L_dist v -> Column.swap_delete v r)
+      | L_ext v -> Column.swap_delete v r
+      | L_dist b -> Bags.swap_delete b r)
     sh.slots;
   Icol.swap_delete sh.cnt0 r
 
@@ -225,7 +301,7 @@ let copy t =
     | L_count c -> L_count (Icol.copy c)
     | L_sum { sum; n } -> L_sum { sum = Column.copy sum; n = Icol.copy n }
     | L_ext v -> L_ext (Column.copy v)
-    | L_dist v -> L_dist (Column.copy v)
+    | L_dist b -> L_dist (Bags.copy b)
   in
   let copy_shard (sh : shard) =
     let keys = Array.map Column.copy sh.keys in
@@ -236,17 +312,33 @@ let copy t =
       map = Rowmap.copy sh.map ~hash:(fun r -> key_hash_cols keys r);
       dirty = TH.copy sh.dirty;
       txn = None;
+      untracked = true;
     }
   in
-  { t with shards = Array.map copy_shard t.shards }
+  {
+    t with
+    shards = Array.map copy_shard t.shards;
+    id = Atomic.fetch_and_add next_id 1;
+    version = 0;
+    last_change = None;
+  }
 
 (* --- transactions -------------------------------------------------------- *)
 
 let in_txn t = t.shards.(0).txn <> None
 
+(* Fold untracked mutations into one version step with unknown keys. *)
+let settle t =
+  if Array.exists (fun (sh : shard) -> sh.untracked) t.shards then begin
+    Array.iter (fun (sh : shard) -> sh.untracked <- false) t.shards;
+    t.version <- t.version + 1;
+    t.last_change <- None
+  end
+
 let begin_txn t =
   if in_txn t then
     invalid_arg "View_state.begin_txn: transaction already open";
+  settle t;
   (* the dirty set is saved whole: it is bounded by the groups pending
      recompute, a handful at any moment, not by the resident state *)
   Array.iter
@@ -258,7 +350,7 @@ let begin_txn t =
    scratch buffer; copied if retained. *)
 let note_known (sh : shard) key row =
   match sh.txn with
-  | None -> ()
+  | None -> sh.untracked <- true
   | Some { saved; _ } ->
     if not (TH.mem saved key) then
       TH.add saved (Array.copy key)
@@ -269,7 +361,19 @@ let note_known (sh : shard) key row =
 let commit t =
   if t.shards.(0).txn = None then
     invalid_arg "View_state.commit: no open transaction";
-  Array.iter (fun sh -> sh.txn <- None) t.shards
+  let touched =
+    Array.fold_left
+      (fun acc (sh : shard) ->
+        match sh.txn with
+        | Some { saved; _ } -> TH.fold (fun key _ acc -> key :: acc) saved acc
+        | None -> acc)
+      [] t.shards
+  in
+  Array.iter (fun sh -> sh.txn <- None) t.shards;
+  if touched <> [] then begin
+    t.version <- t.version + 1;
+    t.last_change <- Some touched
+  end
 
 let rollback t =
   if t.shards.(0).txn = None then
@@ -299,7 +403,8 @@ let rollback t =
                   | L_sum { sum; n }, Sv_sum { sum = s; n = m } ->
                     Column.set sum r s;
                     Icol.set n r m
-                  | (L_ext v | L_dist v), Sv_value x -> Column.set v r x
+                  | L_ext v, Sv_value x -> Column.set v r x
+                  | L_dist b, Sv_bag m -> Bags.set b r m
                   | (L_group | L_count _ | L_sum _ | L_ext _ | L_dist _), _
                     ->
                     assert false)
@@ -317,16 +422,8 @@ let group_count t = Array.fold_left (fun acc sh -> acc + nrows sh) 0 t.shards
 let mark_dirty (sh : shard) key =
   if not (TH.mem sh.dirty key) then TH.add sh.dirty (Array.copy key) ()
 
-(* The finalized value of a DISTINCT aggregate over a singleton value set —
-   the determined case. *)
-let singleton_distinct (agg : Aggregate.t) v =
-  match agg.Aggregate.func with
-  | Aggregate.Count -> Value.Int 1
-  | Aggregate.Sum | Aggregate.Min | Aggregate.Max -> v
-  | Aggregate.Avg -> Value.div_as_float v (Value.Int 1)
-  | Aggregate.Count_star -> assert false
-
-let apply_contrib t (sh : shard) key ~sign r i (item : Select_item.t) contrib =
+let apply_contrib t (sh : shard) key ~sign ~cnt r i (item : Select_item.t)
+    contrib =
   let agg =
     match item with
     | Select_item.Agg a -> a
@@ -357,15 +454,9 @@ let apply_contrib t (sh : shard) key ~sign r i (item : Select_item.t) contrib =
       | Value.Null -> ()
       | cur -> if Value.equal cur v then mark_dirty sh key
     end
-  | L_dist cell, C_value v ->
-    if t.determined then begin
-      (* the argument is functionally determined by the group key: the value
-         set is a singleton fixed at group creation *)
-      match Column.get cell r with
-      | Value.Null -> Column.set cell r (singleton_distinct agg v)
-      | _ -> ()
-    end
-    else mark_dirty sh key
+  | L_dist b, C_value v ->
+    (* exact under deletion too: the multiset counts base rows per value *)
+    Bags.set b r (bag_add (Bags.get b r) v (sign * cnt))
   | (L_group | L_count _ | L_sum _ | L_ext _ | L_dist _), _ ->
     invalid_arg "View_state: contribution does not match aggregate state"
 
@@ -378,7 +469,8 @@ let feed t ~key ~cnt contribs =
   Array.iteri
     (fun i c ->
       match c with
-      | Some contrib -> apply_contrib t sh key ~sign:1 r i t.items.(i) contrib
+      | Some contrib ->
+        apply_contrib t sh key ~sign:1 ~cnt r i t.items.(i) contrib
       | None -> ())
     contribs
 
@@ -403,7 +495,7 @@ let unfeed t ~key ~cnt contribs =
         (fun i c ->
           match c with
           | Some contrib ->
-            apply_contrib t sh key ~sign:(-1) r i t.items.(i) contrib
+            apply_contrib t sh key ~sign:(-1) ~cnt r i t.items.(i) contrib
           | None -> ())
         contribs
 
@@ -425,9 +517,9 @@ let set_value t ~key ~item v =
   | Some r -> (
     note_known sh key (Some r);
     match sh.slots.(item) with
-    | L_ext cell | L_dist cell -> Column.set cell r v
-    | L_group | L_count _ | L_sum _ ->
-      invalid_arg "View_state.set_value: item is CSMAS-maintained")
+    | L_ext cell -> Column.set cell r v
+    | L_group | L_count _ | L_sum _ | L_dist _ ->
+      invalid_arg "View_state.set_value: item is maintained exactly")
 
 type component_update = Shift_sum of Value.t | Set_current of Value.t
 
@@ -445,19 +537,14 @@ let adjust_group t ~key ~new_key updates =
     if moving then note_known sh' new_key (find_row sh' new_key);
     List.iter
       (fun (i, upd) ->
-        let agg =
-          match t.items.(i) with
-          | Select_item.Agg a -> Some a
-          | Select_item.Group _ -> None
-        in
         match sh.slots.(i), upd with
         | L_sum { sum; n }, Shift_sum delta ->
           Column.add_cell sum r delta (Icol.get n r)
         | L_ext cell, Set_current v -> Column.set cell r v
-        | L_dist cell, Set_current v ->
-          (* the caller passes the witnessed (determined) value; finalize
-             the singleton DISTINCT here *)
-          Column.set cell r (singleton_distinct (Option.get agg) v)
+        | L_dist b, Set_current v ->
+          (* the argument is determined by the group key: every base row of
+             the group now carries [v] *)
+          Bags.set b r (VM.singleton v (Icol.get sh.cnt0 r))
         | (L_group | L_count _ | L_sum _ | L_ext _ | L_dist _), _ ->
           invalid_arg "View_state.adjust_group: update does not match state")
       updates;
@@ -491,7 +578,8 @@ let saved_acc_equal a b =
   | Sv_sum { sum; n }, Sv_sum { sum = sum'; n = m } ->
     Value.equal sum sum' && n = m
   | Sv_value x, Sv_value y -> Value.equal x y
-  | (Sv_group | Sv_count _ | Sv_sum _ | Sv_value _), _ -> false
+  | Sv_bag m, Sv_bag m' -> VM.equal Int.equal m m'
+  | (Sv_group | Sv_count _ | Sv_sum _ | Sv_value _ | Sv_bag _), _ -> false
 
 let dirty_count t =
   Array.fold_left (fun acc (sh : shard) -> acc + TH.length sh.dirty) 0 t.shards
@@ -530,45 +618,79 @@ let equal a b =
            sh.dirty true)
        a.shards
 
+(* The output row of the group at row [r], in select-list order. *)
+let render_row t (sh : shard) r =
+  let gi = ref 0 in
+  Array.mapi
+    (fun i item ->
+      match (item : Select_item.t) with
+      | Select_item.Group _ ->
+        let v = Column.get sh.keys.(!gi) r in
+        incr gi;
+        v
+      | Select_item.Agg agg -> (
+        match sh.slots.(i) with
+        | L_group -> assert false
+        | L_count c -> Value.Int (Icol.get c r)
+        | L_sum { sum; n } -> (
+          match agg.Aggregate.func with
+          | Aggregate.Sum -> Column.get sum r
+          | Aggregate.Avg ->
+            Value.div_as_float (Column.get sum r) (Value.Int (Icol.get n r))
+          | _ -> assert false)
+        | L_ext cell -> (
+          match Column.get cell r with
+          | Value.Null ->
+            invalid_arg "View_state.render: non-CSMAS component pending recompute"
+          | v -> v)
+        | L_dist b -> finalize_distinct agg (Bags.get b r)))
+    t.items
+
 let render t =
   let result = Relation.create ~size_hint:(group_count t) () in
   Array.iter
     (fun (sh : shard) ->
       for r = 0 to nrows sh - 1 do
-        let gi = ref 0 in
-        let row =
-          Array.mapi
-            (fun i item ->
-              match (item : Select_item.t) with
-              | Select_item.Group _ ->
-                let v = Column.get sh.keys.(!gi) r in
-                incr gi;
-                v
-              | Select_item.Agg agg -> (
-                match sh.slots.(i) with
-                | L_group -> assert false
-                | L_count c -> Value.Int (Icol.get c r)
-                | L_sum { sum; n } -> (
-                  match agg.Aggregate.func with
-                  | Aggregate.Sum -> Column.get sum r
-                  | Aggregate.Avg ->
-                    Value.div_as_float (Column.get sum r)
-                      (Value.Int (Icol.get n r))
-                  | _ -> assert false)
-                | L_ext cell | L_dist cell -> (
-                  match Column.get cell r with
-                  | Value.Null ->
-                    invalid_arg
-                      "View_state.render: non-CSMAS component pending recompute"
-                  | v -> v)))
-            t.items
-        in
-        Relation.insert result row
+        Relation.insert result (render_row t sh r)
       done)
     t.shards;
   (* restrictions on groups (HAVING) are applied at read time: the full group
      state is what gets maintained *)
   View.filter_having t.view result
+
+(* --- rendering for epoch publication ------------------------------------- *)
+
+let visible_row t sh r =
+  let row = render_row t sh r in
+  if View.passes_having t.view row then Some row else None
+
+let row_of_key t key =
+  let sh = shard_for t key in
+  Option.bind (find_row sh key) (visible_row t sh)
+
+let fold_rows t f acc =
+  Array.fold_left
+    (fun acc (sh : shard) ->
+      let acc = ref acc in
+      for r = 0 to nrows sh - 1 do
+        match visible_row t sh r with
+        | Some row -> acc := f (key_at sh r) row !acc
+        | None -> ()
+      done;
+      !acc)
+    acc t.shards
+
+let stamp t =
+  settle t;
+  (t.id, t.version)
+
+let changes_since t (id, version) =
+  settle t;
+  if id <> t.id then `All
+  else if version = t.version then `Same
+  else if version = t.version - 1 then
+    match t.last_change with Some keys -> `Keys keys | None -> `All
+  else `All
 
 (* --- byte accounting ----------------------------------------------------- *)
 
@@ -581,7 +703,8 @@ let fold_columns t f acc =
           match slot with
           | L_group | L_count _ -> acc
           | L_sum { sum; _ } -> f acc sum
-          | L_ext v | L_dist v -> f acc v)
+          | L_ext v -> f acc v
+          | L_dist _ -> acc)
         acc sh.slots)
     acc t.shards
 
@@ -596,9 +719,19 @@ let byte_size t =
         Array.fold_left
           (fun acc slot ->
             match slot with
-            | L_group | L_ext _ | L_dist _ -> acc
+            | L_group | L_ext _ -> acc
             | L_count c -> acc + Icol.byte_size c
-            | L_sum { n; _ } -> acc + Icol.byte_size n)
+            | L_sum { n; _ } -> acc + Icol.byte_size n
+            | L_dist b ->
+              (* the cell array, plus per distinct value one map node (5
+                 fields and a header) and its boxed value *)
+              let entries = ref (8 * Array.length b.Bags.cells) in
+              for r = 0 to b.Bags.len - 1 do
+                VM.iter
+                  (fun v _ -> entries := !entries + 48 + Column.boxed_bytes v)
+                  (Bags.get b r)
+              done;
+              acc + !entries)
           (acc + Icol.byte_size sh.cnt0 + Rowmap.byte_size sh.map)
           sh.slots)
       0 t.shards

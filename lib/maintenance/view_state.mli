@@ -6,13 +6,16 @@
     SUM/COUNT pairs, current extrema and DISTINCT results — from which the
     visible select-list values are rendered on demand.
 
-    CSMAS components are maintained exactly under both feeds and unfeeds;
-    non-CSMAS components (MIN/MAX under deletion, DISTINCT aggregates) mark
-    their group {e dirty} so the engine can recompute them from the auxiliary
-    views, exactly as Section 3.2 prescribes. In {e determined} mode (used
-    when the root auxiliary view has been eliminated, where every non-CSMAS
-    argument is functionally determined by the group key) they are set at
-    group creation and never dirtied. *)
+    CSMAS components are maintained exactly under both feeds and unfeeds.
+    DISTINCT aggregates are too: each group keeps a multiset of its
+    argument values (value -> base rows carrying it), so a deletion
+    decrements a count instead of invalidating the result, and the visible
+    value is finalized at render. MIN/MAX under deletion mark their group
+    {e dirty} when the current extremum is removed, so the engine can
+    recompute them from the auxiliary views, exactly as Section 3.2
+    prescribes. In {e determined} mode (used when the root auxiliary view
+    has been eliminated, where every non-CSMAS argument is functionally
+    determined by the group key) no group is ever dirtied. *)
 
 type contrib =
   | C_count of int
@@ -85,13 +88,15 @@ val feed : t -> key:Relational.Tuple.t -> cnt:int -> contrib option array -> uni
 val unfeed :
   t -> key:Relational.Tuple.t -> cnt:int -> contrib option array -> unit
 
-(** Groups marked dirty since the last call; clears the set. *)
+(** Groups marked dirty (a MIN/MAX whose extremum was deleted) since the
+    last call; clears the set. *)
 val take_dirty : t -> Relational.Tuple.t list
 
 val is_dirty_pending : t -> bool
 
-(** [set_value t ~key ~item v] overwrites the rendered value of a recomputed
-    non-CSMAS item. No-op if the group has disappeared. *)
+(** [set_value t ~key ~item v] overwrites the recomputed extremum of a
+    MIN/MAX item. No-op if the group has disappeared.
+    @raise Invalid_argument if [item] is not a non-DISTINCT MIN/MAX. *)
 val set_value : t -> key:Relational.Tuple.t -> item:int -> Relational.Value.t -> unit
 
 (** [adjust_group t ~key ~new_key updates] rewrites a group's key and applies
@@ -100,7 +105,8 @@ val set_value : t -> key:Relational.Tuple.t -> item:int -> Relational.Value.t ->
     @raise Invalid_argument if the group is missing or [new_key] collides. *)
 type component_update =
   | Shift_sum of Relational.Value.t  (** sum += delta * n *)
-  | Set_current of Relational.Value.t  (** extremum / distinct result := v *)
+  | Set_current of Relational.Value.t
+      (** extremum := v; DISTINCT multiset := every base row carries v *)
 
 val adjust_group :
   t ->
@@ -114,6 +120,32 @@ val fold_groups : t -> (Relational.Tuple.t -> int -> 'a -> 'a) -> 'a -> 'a
 
 (** Render the view contents in select-list order. *)
 val render : t -> Relational.Relation.t
+
+(** {2 Incremental rendering}
+
+    What epoch publication needs to re-render only the groups a batch
+    changed. *)
+
+(** The visible output row of group [key]: [None] if the group is absent
+    or fails the view's HAVING conditions. *)
+val row_of_key : t -> Relational.Tuple.t -> Relational.Tuple.t option
+
+(** Fold over the visible output rows, as (group key, row). *)
+val fold_rows :
+  t -> (Relational.Tuple.t -> Relational.Tuple.t -> 'a -> 'a) -> 'a -> 'a
+
+(** A version stamp of the rendered contents: (state identity, version).
+    The version advances once per committed transaction that touched a
+    group, and once per run of mutations made outside any transaction. *)
+val stamp : t -> int * int
+
+(** [changes_since t stamp] relates the current contents to the ones at
+    [stamp]: [`Same] if unchanged, [`Keys ks] if exactly the groups [ks]
+    changed since (the first-touch journal keys of the one committed
+    transaction in between), [`All] if that is unknown — a stamp of another
+    state, several versions back, or untracked mutations. *)
+val changes_since :
+  t -> int * int -> [ `Same | `Keys of Relational.Tuple.t list | `All ]
 
 (** Resident bytes of this state: key and component columns (including
     off-heap Bigarray payloads), count columns, key maps and string

@@ -1,4 +1,3 @@
-module Relation = Relational.Relation
 module Value = Relational.Value
 module View = Algebra.View
 
@@ -177,8 +176,7 @@ let render_row (tup, mult) =
 
 let query_response conn t name =
   let s = conn.pinned in
-  let columns, rows = Warehouse.read_view ~snapshot:s t.wh name in
-  let sorted = Relation.to_sorted_list rows in
+  let columns, sorted = Warehouse.read_sorted ~snapshot:s t.wh name in
   let n = List.length sorted in
   let head =
     Printf.sprintf "+ROWS %d %d %d" n (Warehouse.snapshot_epoch s)
@@ -338,22 +336,43 @@ let accept_conn t =
       (float_of_int (List.length t.conns))
   | exception Unix.Unix_error _ -> ()
 
+(* Longest request line accepted. A client that sends more without a
+   newline is answered with an error and disconnected, so a newline-less
+   stream can neither grow its buffer without bound nor stall the loop. *)
+let max_line = 65_536
+
 let drain_conn t conn =
   let chunk = Bytes.create 4096 in
   match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
   | 0 -> conn.closing <- true
   | n ->
-    Buffer.add_subbytes conn.buf chunk 0 n;
-    (* consume every complete line in the buffer *)
-    let data = Buffer.contents conn.buf in
+    (* [conn.buf] holds the partial line received so far; only the new
+       bytes are scanned for line ends *)
+    let rec newline i =
+      if i >= n then None else if Bytes.get chunk i = '\n' then Some i
+      else newline (i + 1)
+    in
+    let too_long () =
+      Buffer.clear conn.buf;
+      err_line conn Warehouse.Invalid_request
+        (Printf.sprintf "request line exceeds %d bytes" max_line);
+      conn.closing <- true
+    in
     let rec consume start =
-      match String.index_from_opt data start '\n' with
+      match newline start with
       | Some i when not (Atomic.get t.stop) ->
-        handle_request t conn (String.sub data start (i - start));
-        consume (i + 1)
-      | Some _ | None ->
-        Buffer.clear conn.buf;
-        Buffer.add_substring conn.buf data start (String.length data - start)
+        Buffer.add_subbytes conn.buf chunk start (i - start);
+        if Buffer.length conn.buf > max_line then too_long ()
+        else begin
+          let req = Buffer.contents conn.buf in
+          Buffer.clear conn.buf;
+          handle_request t conn req;
+          consume (i + 1)
+        end
+      | Some _ -> ()
+      | None ->
+        Buffer.add_subbytes conn.buf chunk start (n - start);
+        if Buffer.length conn.buf > max_line then too_long ()
     in
     consume 0
   | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> conn.closing <- true

@@ -3,17 +3,19 @@
 
     One server owns one {!Warehouse.t} and serves any number of client
     connections from a single-domain [select] loop. Every read is served
-    from a published read epoch ({!Warehouse.read_view}), so the serving
+    from a published read epoch ({!Warehouse.read_sorted}), so the serving
     loop — and every client — runs safely concurrent with a writer domain
     ingesting into the same warehouse: readers never block the writer and
     never observe torn state.
 
     {2 Protocol}
 
-    Requests are single lines, [VERB [argument]], case-insensitive verbs.
-    Responses start with [+] (success) or [-ERR kind: detail] (failure,
-    one line). Multi-line response bodies are terminated by a line holding
-    a single [.].
+    Requests are single lines, [VERB [argument]], case-insensitive verbs,
+    of at most {!max_line} bytes: a longer line is answered with
+    [-ERR invalid-request: ...] and the connection is closed. Responses
+    start with [+] (success) or [-ERR kind: detail] (failure, one line).
+    Multi-line response bodies are terminated by a line holding a single
+    [.].
 
     {ul
     {- [PING] → [+PONG]}
@@ -35,6 +37,9 @@
        (every connection closed, {!run} returns).}} *)
 
 type t
+
+(** Longest request line accepted, in bytes (newline excluded). *)
+val max_line : int
 
 (** [create ~port wh] binds and listens on [127.0.0.1:port] ([port = 0]
     picks an ephemeral port — read it back with {!port}). Registers the

@@ -138,6 +138,19 @@ module Obs = struct
          recovery)"
       "minview_warehouse_epoch_publications_total"
 
+  let epoch_publish =
+    Telemetry.Histogram.make
+      ~labels:[ ("phase", "epoch-publish") ]
+      ~help:"Latency of one warehouse pipeline phase"
+      "minview_warehouse_phase_seconds"
+
+  let epoch_rows_rendered =
+    Telemetry.Counter.make
+      ~help:
+        "View rows rendered into published read epochs (the groups a batch \
+         changed, or every row on a full render)"
+      "minview_warehouse_epoch_rows_rendered_total"
+
   let epoch_lag =
     Telemetry.Gauge.make
       ~help:
@@ -191,13 +204,17 @@ type registered = {
 
 (* --- read epochs -------------------------------------------------------- *)
 
-(* One view's state frozen into an epoch: the output columns and a relation
-   that is never mutated after publication ([Engines.capture] builds it
-   fresh, aliasing nothing the engines will touch again). *)
+(* One view's state frozen into an epoch: the output columns and a
+   persistent map of frozen rows ([Engines.freeze] shares the untouched
+   rows of the previous epoch and aliases nothing the engines will touch
+   again). [snap_rel] memoizes the relation [read_view] hands out, built on
+   the first read of the epoch; concurrent first reads may each build one,
+   and either is a faithful copy. *)
 type view_snap = {
   snap_view : View.t;
   snap_columns : string list;
-  snap_rows : Relation.t;
+  snap_rows : Engines.frozen;
+  snap_rel : Relation.t option Atomic.t;
 }
 
 (* An immutable read epoch. Readers obtain the current one with a single
@@ -284,47 +301,49 @@ let create source =
   }
 
 (* Publish a fresh read epoch from the current committed engine state.
-   Must only run with every engine transaction closed ([Engines.capture]
+   Must only run with every engine transaction closed ([Engines.freeze]
    enforces it): at the commit point of ingestion, at registration, and
    after load/recovery. The single [Atomic.set] is the publication point —
    a reader sees the previous epoch in full or the new one in full, never a
    mix.
 
-   [?touched] is the set of base tables the triggering batch wrote; a view
-   referencing none of them kept its contents, so its previous capture is
-   re-used instead of re-rendered (the common case for wide warehouses
-   where a batch hits one fact table). Omitting [touched] re-captures
-   everything. *)
-let publish_epoch ?touched t =
+   Each view's rows are frozen from its previous epoch: an incremental
+   engine re-renders only the groups the committed batch changed (a view
+   the batch did not touch keeps its snapshot outright), while a fresh
+   engine — registration, load, recovery, a rebuild — renders in full. *)
+let publish_epoch t =
+  Telemetry.with_phase Obs.epoch_publish "warehouse.epoch-publish" @@ fun () ->
   let prev = Atomic.get t.published in
-  let reused r =
-    match touched with
-    | None -> None
-    | Some tables ->
-      if List.exists (fun tbl -> List.mem tbl r.view.View.tables) tables then
-        None
-      else
-        List.find_opt
-          (fun vs -> String.equal vs.snap_view.View.name r.view.View.name)
-          prev.epoch_views
-  in
+  let rendered = ref 0 in
   let epoch_views =
     (* [t.views] is newest-first; rev_map restores registration order *)
     List.rev_map
       (fun r ->
-        match reused r with
-        | Some vs -> vs
-        | None ->
+        let before =
+          List.find_opt
+            (fun vs -> String.equal vs.snap_view.View.name r.view.View.name)
+            prev.epoch_views
+        in
+        let rows, n =
+          Engines.freeze ?prev:(Option.map (fun vs -> vs.snap_rows) before)
+            r.engine
+        in
+        rendered := !rendered + n;
+        match before with
+        | Some vs when vs.snap_rows == rows -> vs
+        | Some _ | None ->
           {
             snap_view = r.view;
             snap_columns = Algebra.Eval.output_columns r.view;
-            snap_rows = Engines.capture r.engine;
+            snap_rows = rows;
+            snap_rel = Atomic.make None;
           })
       t.views
   in
   Atomic.set t.published
     { epoch = prev.epoch + 1; epoch_seq = t.seq; epoch_views };
   Telemetry.Counter.one Obs.epoch_publications;
+  Telemetry.Counter.inc Obs.epoch_rows_rendered !rendered;
   (* the per-commit runtime sample (GC + off-heap gauges): a no-op unless
      [Runtime.set_auto_sample true] armed it (serve --metrics-port) *)
   Telemetry.Runtime.tick ()
@@ -442,8 +461,8 @@ let add_view ?(strategy = Minimal) t view =
   in
   t.views <- { view; strategy; engine } :: t.views;
   (* immediately visible to readers; previously registered views kept their
-     contents, so their captures carry over ([touched = []]) *)
-  publish_epoch ~touched:[] t
+     contents, so their snapshots carry over *)
+  publish_epoch t
 
 let add_view_sql ?strategy t sql =
   match Sqlfront.Parser.statement sql with
@@ -486,20 +505,33 @@ let observe_read t s dt =
   Telemetry.Histogram.observe Obs.read_seconds dt;
   Telemetry.Gauge.set Obs.epoch_lag (float_of_int (t.seq - s.epoch_seq))
 
-let read_view ?snapshot t name =
+let snap_relation vs =
+  match Atomic.get vs.snap_rel with
+  | Some rel -> rel
+  | None ->
+    let rel = Engines.frozen_relation vs.snap_rows in
+    Atomic.set vs.snap_rel (Some rel);
+    rel
+
+(* One counted and timed read of view [name] from [snapshot] (default: the
+   latest epoch), rendered by [rows]. *)
+let read_with ?snapshot t name rows =
   let t0 = Unix.gettimeofday () in
   let s =
     match snapshot with Some s -> s | None -> Atomic.get t.published
   in
   let vs = find_snap s name in
+  let r = rows vs in
   observe_read t s (Unix.gettimeofday () -. t0);
-  (vs.snap_columns, vs.snap_rows)
+  (vs.snap_columns, r)
+
+let read_view ?snapshot t name = read_with ?snapshot t name snap_relation
+
+let read_sorted ?snapshot t name =
+  read_with ?snapshot t name (fun vs -> Engines.frozen_sorted vs.snap_rows)
 
 let query t name = read_view t name
-
-let query_sorted t name =
-  let columns, rows = read_view t name in
-  (columns, Relation.to_sorted_list rows)
+let query_sorted t name = read_sorted t name
 
 let derivation_of t name = Engines.derivation (find t name).engine
 
@@ -1242,9 +1274,9 @@ let ingest_report_inner ~sync t deltas =
       note_apply_outcome t mode;
       (* the read-side commit point: concurrent readers switch to the new
          epoch here, atomically; until this set they keep serving the
-         previous committed state. Views whose tables the batch did not
-         touch carry their captures over. *)
-      publish_epoch ~touched:(List.map fst (delta_table_counts accepted)) t;
+         previous committed state. Only the groups the batch changed are
+         re-rendered. *)
+      publish_epoch t;
       emit_lineage t ~seq accepted;
       (match t.checkpoint_every with
       | Some n when n > 0 && t.seq mod n = 0 && t.wal <> None -> checkpoint t

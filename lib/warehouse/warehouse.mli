@@ -257,9 +257,15 @@ val ingested_batches : t -> int
 
     Reads are served from immutable {e read epochs}, never from the live
     maintenance engines. Every commit — and every registration, load and
-    recovery — captures each view's output into a frozen snapshot and
-    publishes it with a single atomic pointer swap; {!query},
-    {!read_view} and {!with_snapshot} then work entirely on frozen data.
+    recovery — freezes each view's output rows into a persistent map
+    ({!Maintenance.Engines.freeze}) and publishes it with a single atomic
+    pointer swap; {!query}, {!read_view} and {!with_snapshot} then work
+    entirely on frozen data. A commit re-renders only the groups its batch
+    changed and shares every other row with the previous epoch, so
+    publication costs O(delta), not O(view) (the Replicate and Aged
+    strategies render in full). Publication is timed as
+    [minview_warehouse_phase_seconds{phase="epoch-publish"}] and its
+    rendered rows counted as [minview_warehouse_epoch_rows_rendered_total].
     The contract this buys:
 
     {ul
@@ -271,7 +277,8 @@ val ingested_batches : t -> int
     {- {e Readers never block the writer} (and vice versa). A read is one
        [Atomic.get] plus traversal of immutable data; readers may run on
        any number of concurrent domains while ingestion commits continue.
-       Relations handed out by the read API are shared frozen state:
+       Relations handed out by the read API are shared frozen state
+       (built on an epoch's first {!read_view} of the view, then reused):
        treat them as read-only.}
     {- {e Bounded staleness, measured.} A snapshot pinned with
        {!current_snapshot} serves the same bytes forever; the gap between
@@ -286,9 +293,10 @@ val ingested_batches : t -> int
     insertion history — serial and shard-parallel maintenance of identical
     batches may iterate differently. The canonical order of a view's rows
     is [Relational.Relation.to_sorted_list] ([Tuple.compare] ascending);
-    {!query_sorted} serves it directly, and the table printer and the
-    [minview serve] protocol always emit it, so their output is stable
-    across apply modes.
+    {!query_sorted} and {!read_sorted} serve it directly from the ordered
+    epoch map (no sort when the view's group-by items lead its select
+    list), and the table printer and the [minview serve] protocol always
+    emit it, so their output is stable across apply modes.
 
     {e Aged views.} {!query} on a view registered with the {!Aged}
     strategy returns the {e merged} contents: old-partition rows are
@@ -333,6 +341,14 @@ val with_snapshot : t -> (snapshot -> 'a) -> 'a
     @raise Error ([Unknown_view]) if the view is not in the epoch. *)
 val read_view :
   ?snapshot:snapshot -> t -> string -> string list * Relational.Relation.t
+
+(** As {!read_view}, with the rows in canonical order, read off the epoch
+    map (see "Row order" above). Counted and timed like {!read_view}. *)
+val read_sorted :
+  ?snapshot:snapshot ->
+  t ->
+  string ->
+  string list * (Relational.Tuple.t * int) list
 
 (** Monotonic publication counter of an epoch (0 = nothing published). *)
 val snapshot_epoch : snapshot -> int

@@ -227,9 +227,9 @@ let view_matrix seed =
       feed_all entry
     end
   in
-  (* stand-in for the engine's non-CSMAS recomputation: the three states
-     must dirty the same groups; resolve them all to the same value so
-     renders stay comparable *)
+  (* stand-in for the engine's MIN/MAX recomputation: the three states must
+     dirty the same groups; resolve them all to the same value so renders
+     stay comparable (DISTINCT, item 5, is exact and never dirty) *)
   let resolve () =
     let d1 = List.sort Tuple.compare (VS.take_dirty s1) in
     let d4 = List.sort Tuple.compare (VS.take_dirty s4) in
@@ -242,7 +242,7 @@ let view_matrix seed =
             VS.set_value s1 ~key:k ~item (i 7);
             VS.set_value s4 ~key:k ~item (i 7);
             VB.set_value oracle ~key:k ~item (i 7))
-          [ 4; 5 ])
+          [ 4 ])
       d1
   in
   let check () =
@@ -599,8 +599,11 @@ let undo_tests =
         let feed k v lbl = VS.feed st ~key:(row [ i k ]) ~cnt:1 (vs_contribs ~v ~lbl) in
         feed 1 10 "a";
         feed 1 20 "b";
+        feed 1 20 "b";
         feed 2 5 "a";
-        (* leave group 1 dirty on purpose: rollback must restore the set *)
+        (* leave group 1 dirty on purpose (one of its MAX rows deleted):
+           rollback must restore the set *)
+        VS.unfeed st ~key:(row [ i 1 ]) ~cnt:1 (vs_contribs ~v:20 ~lbl:"b");
         let snap = VS.copy st in
         Alcotest.(check bool) "dirty before txn" true (VS.is_dirty_pending st);
         VS.begin_txn st;

@@ -281,6 +281,129 @@ let prop_snapshot_quiesced =
       done;
       true)
 
+(* --- differential epochs (property) ---------------------------------------
+
+   Random insert/delete/update streams, dimension updates included, over
+   the paper's non-CSMAS views: COUNT DISTINCT (product_sales,
+   engagement_by_channel, product_brand_profile) and MIN/MAX under
+   deletion (product_sales_max, dwell_extremes). Epochs are published
+   incrementally — only the groups a batch changed are re-rendered — so
+   every published epoch is checked against [Algebra.Eval] over the
+   believed source, across a batch the engines reject (rolled back) and a
+   checkpoint + recovery midway; a snapshot pinned before each commit must
+   keep serving its old rows. *)
+
+let rec rm_rf path =
+  match Sys.is_directory path with
+  | true ->
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  | false -> Sys.remove path
+  | exception Sys_error _ -> ()
+
+let differential_cases =
+  [
+    ( "retail",
+      (fun () -> Workload.Retail.load prop_params),
+      [ Workload.Retail.product_sales; Workload.Retail.product_sales_max ] );
+    ( "clickstream",
+      (fun () -> Workload.Clickstream.load Workload.Clickstream.small_params),
+      [ Workload.Clickstream.dwell_extremes;
+        Workload.Clickstream.engagement_by_channel ] );
+    ( "snowflake",
+      (fun () -> Workload.Snowflake.load Workload.Snowflake.small_params),
+      [ Workload.Snowflake.product_brand_profile ] );
+  ]
+
+let differential_run seed (name, load, views) =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "wh_epoch_diff_%s_%d_%d" name seed (Unix.getpid ()))
+  in
+  rm_rf dir;
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let db = load () in
+  (* the generator's own model of the source: it advances only with the
+     batches the warehouse commits *)
+  let model = Database.copy db in
+  let wh = ref (Warehouse.create db) in
+  List.iter (Warehouse.add_view !wh) views;
+  Warehouse.attach !wh ~dir;
+  let rng = Workload.Prng.create seed in
+  let check what =
+    let source = Warehouse.believed_source !wh in
+    List.iter
+      (fun (v : View.t) ->
+        let expected = Algebra.Eval.eval source v in
+        let _, rows = Warehouse.read_view !wh v.View.name in
+        if render_rows rows <> render_rows expected then
+          QCheck2.Test.fail_reportf "%s/%s %s: epoch diverges:\n%s\n!=\n%s" name
+            v.View.name what (render_rows rows) (render_rows expected);
+        if snd (Warehouse.read_sorted !wh v.View.name)
+           <> Relation.to_sorted_list expected
+        then
+          QCheck2.Test.fail_reportf "%s/%s %s: sorted read diverges" name
+            v.View.name what)
+      views
+  in
+  let pinned () =
+    let s = Warehouse.current_snapshot !wh in
+    ( s,
+      List.map
+        (fun (v : View.t) ->
+          render_rows (snd (Warehouse.read_view ~snapshot:s !wh v.View.name)))
+        views )
+  in
+  let still_pinned (s, before) =
+    List.iter2
+      (fun (v : View.t) rows ->
+        if render_rows (snd (Warehouse.read_view ~snapshot:s !wh v.View.name)) <> rows
+        then
+          QCheck2.Test.fail_reportf "%s/%s: a pinned snapshot changed" name
+            v.View.name)
+      views before
+  in
+  check "at registration";
+  for round = 1 to 6 do
+    let pin = pinned () in
+    if round = 3 then begin
+      (* a batch the engines fail mid-apply: rolled back, nothing published *)
+      let batch = Workload.Delta_gen.stream rng (Database.copy model) ~n:25 in
+      Faults.arm ~mode:Faults.Fail Faults.Mid_engine_apply;
+      let r =
+        Fun.protect ~finally:Faults.disarm (fun () ->
+            Warehouse.ingest_report !wh batch)
+      in
+      if r.Warehouse.applied <> 0 then
+        QCheck2.Test.fail_reportf "%s: the failed batch was applied" name;
+      check "after a rollback"
+    end;
+    let batch = Workload.Delta_gen.stream rng model ~n:25 in
+    let r = Warehouse.ingest_report !wh batch in
+    if r.Warehouse.rejected <> [] then
+      QCheck2.Test.fail_reportf "%s: %d deltas rejected" name
+        (List.length r.Warehouse.rejected);
+    check (Printf.sprintf "after batch %d" round);
+    still_pinned pin;
+    if round = 4 then begin
+      (* snapshot, one more batch into the WAL, then crash-free recovery *)
+      Warehouse.checkpoint !wh;
+      let batch = Workload.Delta_gen.stream rng model ~n:25 in
+      ignore (Warehouse.ingest_report !wh batch);
+      Warehouse.close !wh;
+      wh := Warehouse.recover ~dir;
+      check "after recovery"
+    end
+  done;
+  Warehouse.close !wh;
+  true
+
+let prop_differential_epochs =
+  QCheck2.Test.make ~count:6
+    ~name:"every published epoch == Eval (DISTINCT, MIN/MAX, rollback, recovery)"
+    (QCheck2.Gen.int_range 0 10_000)
+    (fun seed -> List.for_all (differential_run seed) differential_cases)
+
 let () =
   Alcotest.run "epoch"
     [
@@ -288,5 +411,9 @@ let () =
       ("publication", publication_tests);
       ("pinned", pinned_tests);
       ("aged", aged_tests);
-      ("properties", [ QCheck_alcotest.to_alcotest prop_snapshot_quiesced ]);
+      ( "properties",
+        [
+          QCheck_alcotest.to_alcotest prop_snapshot_quiesced;
+          QCheck_alcotest.to_alcotest prop_differential_epochs;
+        ] );
     ]

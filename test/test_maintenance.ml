@@ -74,6 +74,82 @@ let aux_state_tests =
         match Aux_state.find_by_key st (i 1) with
         | exception Invalid_argument _ -> ()
         | _ -> Alcotest.fail "expected Invalid_argument");
+    test "composite index agrees with a scan under churn and rollback"
+      (fun () ->
+        let db = Workload.Retail.empty () in
+        let st =
+          Aux_state.create ~shards:4 ~indexed_columns:[ "productid" ]
+            ~indexed_keys:[ [ "timeid"; "productid" ] ]
+            (sale_spec db) (sale_schema db)
+        in
+        let rng = Workload.Prng.create 11 in
+        let live = ref [] and next = ref 0 in
+        let churn n =
+          for _ = 1 to n do
+            match !live with
+            | tup :: rest when Workload.Prng.int rng 3 = 0 ->
+              Aux_state.delete_base st tup;
+              live := rest
+            | _ ->
+              incr next;
+              let tup =
+                row
+                  [ i !next; i (1 + Workload.Prng.int rng 4);
+                    i (1 + Workload.Prng.int rng 5); i 1;
+                    i (1 + Workload.Prng.int rng 9) ]
+              in
+              Aux_state.insert_base st tup;
+              live := tup :: !live
+          done
+        in
+        (* every probe must find exactly the groups a scan of the contents
+           holds *)
+        let agree what =
+          let contents = Aux_state.to_relation st in
+          for t = 1 to 4 do
+            for p = 1 to 5 do
+              let expected =
+                Relation.fold
+                  (fun r _ acc ->
+                    if Value.equal r.(0) (i t) && Value.equal r.(1) (i p) then
+                      acc + 1
+                    else acc)
+                  contents 0
+              in
+              let found = ref 0 in
+              Aux_state.iter_where st ~columns:[ "timeid"; "productid" ]
+                [| i t; i p |] (fun _ -> incr found);
+              Alcotest.(check int)
+                (Printf.sprintf "%s: groups at (%d, %d)" what t p)
+                expected !found
+            done
+          done;
+          (* and the single-column index, whose chains hold several groups *)
+          for p = 1 to 5 do
+            let expected =
+              Relation.fold
+                (fun r _ acc -> if Value.equal r.(1) (i p) then acc + 1 else acc)
+                contents 0
+            in
+            Alcotest.(check int)
+              (Printf.sprintf "%s: groups of product %d" what p)
+              expected
+              (List.length (Aux_state.rows_with st ~column:"productid" (i p)))
+          done
+        in
+        churn 200;
+        agree "after churn";
+        let snap = Aux_state.copy st in
+        let saved = !live in
+        Aux_state.begin_txn st;
+        churn 60;
+        Aux_state.rollback st;
+        live := saved;
+        Alcotest.(check bool) "rollback restores the indexes" true
+          (Aux_state.equal st snap);
+        agree "after rollback";
+        churn 200;
+        agree "after more churn");
     test "group_key_of_base projects the plains" (fun () ->
         let db = Workload.Retail.empty () in
         let st = Aux_state.create (sale_spec db) (sale_schema db) in

@@ -113,6 +113,28 @@ let protocol_tests =
         (* the connection survives errors *)
         send c "PING";
         Alcotest.(check string) "still alive" "+PONG" (recv c));
+    test "an oversized request line is refused and its connection closed"
+      (fun () ->
+        with_server @@ fun _db _wh port ->
+        let hog = connect port and other = connect port in
+        Fun.protect
+          ~finally:(fun () ->
+            disconnect hog;
+            disconnect other)
+        @@ fun () ->
+        (* no newline: the server must give up one byte past the cap, not
+           buffer on (exactly one byte past, so nothing is left unread
+           when it closes) *)
+        let _, _, oc = hog in
+        output_string oc (String.make (Serve.max_line + 1) 'x');
+        flush oc;
+        check_prefix "refusal" "-ERR invalid-request:" (recv hog);
+        (match recv hog with
+        | l -> Alcotest.failf "connection left open, got %S" l
+        | exception End_of_file -> ());
+        send other "PING";
+        Alcotest.(check string) "other clients are still served" "+PONG"
+          (recv other));
   ]
 
 let pinning_tests =

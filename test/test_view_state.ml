@@ -1,5 +1,6 @@
 (* Direct unit tests for the view-group state: component maintenance,
-   dirty-group tracking, group rewriting, rendering. *)
+   DISTINCT multisets, dirty-group tracking, group rewriting, rendering,
+   change tracking for epoch publication. *)
 
 open Helpers
 module VS = Maintenance.View_state
@@ -42,10 +43,8 @@ let fresh () = VS.create view ~determined:false
 
 let rows st = Relation.to_sorted_list (VS.render st)
 
-let flush_distinct st key value =
-  (* stand-in for the engine's recomputation *)
-  List.iter (fun k -> if Tuple.equal k key then VS.set_value st ~key ~item:5 value)
-    (VS.take_dirty st)
+(* DISTINCT is exact: nothing is ever pending for it *)
+let no_dirt st = Alcotest.(check bool) "nothing dirty" false (VS.is_dirty_pending st)
 
 let tests =
   [
@@ -53,7 +52,7 @@ let tests =
         let st = fresh () in
         feed st (row [ i 1 ]) ~v:10 ~lbl:"a";
         feed st (row [ i 1 ]) ~v:20 ~lbl:"b";
-        flush_distinct st (row [ i 1 ]) (i 2);
+        no_dirt st;
         Alcotest.(check int) "one group" 1 (VS.group_count st);
         match rows st with
         | [ (r, 1) ] ->
@@ -72,11 +71,7 @@ let tests =
         unfeed st (row [ i 1 ]) ~v:20 ~lbl:"a";
         (* the deleted 20 was the MAX: group goes dirty *)
         Alcotest.(check bool) "dirty" true (VS.is_dirty_pending st);
-        List.iter
-          (fun k ->
-            VS.set_value st ~key:k ~item:4 (i 10);
-            VS.set_value st ~key:k ~item:5 (i 1))
-          (VS.take_dirty st);
+        List.iter (fun k -> VS.set_value st ~key:k ~item:4 (i 10)) (VS.take_dirty st);
         match rows st with
         | [ (r, 1) ] ->
           Alcotest.check value "sum" (i 10) r.(1);
@@ -89,13 +84,71 @@ let tests =
         feed st (row [ i 1 ]) ~v:20 ~lbl:"a";
         ignore (VS.take_dirty st);
         unfeed st (row [ i 1 ]) ~v:10 ~lbl:"a";
-        (* MAX unaffected; only the DISTINCT component is dirtied *)
-        let dirty = VS.take_dirty st in
-        Alcotest.(check int) "one dirty (distinct)" 1 (List.length dirty);
-        List.iter (fun k -> VS.set_value st ~key:k ~item:5 (i 1)) dirty;
+        (* MAX unaffected, DISTINCT exact: nothing to recompute *)
+        no_dirt st;
         match rows st with
-        | [ (r, 1) ] -> Alcotest.check value "max intact" (i 20) r.(4)
+        | [ (r, 1) ] ->
+          Alcotest.check value "max intact" (i 20) r.(4);
+          Alcotest.check value "distinct" (i 1) r.(5)
         | _ -> Alcotest.fail "expected one row");
+    test "DISTINCT counts base rows per value under deletion" (fun () ->
+        let st = fresh () in
+        feed st (row [ i 1 ]) ~v:1 ~lbl:"a";
+        feed st (row [ i 1 ]) ~v:2 ~lbl:"a";
+        feed st (row [ i 1 ]) ~v:3 ~lbl:"b";
+        let distinct () =
+          match rows st with
+          | [ (r, 1) ] -> r.(5)
+          | _ -> Alcotest.fail "expected one row"
+        in
+        Alcotest.check value "two labels" (i 2) (distinct ());
+        (* one of the two "a" rows goes: "a" is still present *)
+        unfeed st (row [ i 1 ]) ~v:1 ~lbl:"a";
+        Alcotest.check value "still two" (i 2) (distinct ());
+        VS.begin_txn st;
+        unfeed st (row [ i 1 ]) ~v:2 ~lbl:"a";
+        Alcotest.check value "a gone" (i 1) (distinct ());
+        VS.rollback st;
+        Alcotest.check value "rollback restores the multiset" (i 2) (distinct ());
+        no_dirt st);
+    test "set_value refuses an exactly maintained item" (fun () ->
+        let st = fresh () in
+        feed st (row [ i 1 ]) ~v:1 ~lbl:"a";
+        match VS.set_value st ~key:(row [ i 1 ]) ~item:5 (i 9) with
+        | exception Invalid_argument _ -> ()
+        | () -> Alcotest.fail "expected Invalid_argument");
+    test "changes_since names the keys of the last commit" (fun () ->
+        let st = fresh () in
+        feed st (row [ i 1 ]) ~v:1 ~lbl:"a";
+        let s0 = VS.stamp st in
+        Alcotest.(check bool) "same" true (VS.changes_since st s0 = `Same);
+        VS.begin_txn st;
+        feed st (row [ i 2 ]) ~v:1 ~lbl:"a";
+        unfeed st (row [ i 1 ]) ~v:1 ~lbl:"a";
+        VS.commit st;
+        (match VS.changes_since st s0 with
+        | `Keys ks ->
+          Alcotest.(check (list tuple)) "both groups"
+            [ row [ i 1 ]; row [ i 2 ] ]
+            (List.sort Tuple.compare ks)
+        | `Same | `All -> Alcotest.fail "expected the journal keys");
+        Alcotest.(check bool) "visible row" true
+          (VS.row_of_key st (row [ i 2 ]) <> None);
+        Alcotest.(check bool) "vanished row" true
+          (VS.row_of_key st (row [ i 1 ]) = None);
+        let s1 = VS.stamp st in
+        (* a rolled-back batch changes nothing; an untracked mutation
+           makes the keys unknown; another state's stamp never matches *)
+        VS.begin_txn st;
+        feed st (row [ i 3 ]) ~v:1 ~lbl:"a";
+        VS.rollback st;
+        Alcotest.(check bool) "rollback" true (VS.changes_since st s1 = `Same);
+        feed st (row [ i 3 ]) ~v:1 ~lbl:"a";
+        Alcotest.(check bool) "untracked" true (VS.changes_since st s1 = `All);
+        Alcotest.(check bool) "two versions back" true
+          (VS.changes_since st s0 = `All);
+        Alcotest.(check bool) "copy" true
+          (VS.changes_since (VS.copy st) (VS.stamp st) = `All));
     test "group disappears at zero and forgets its dirt" (fun () ->
         let st = fresh () in
         feed st (row [ i 1 ]) ~v:10 ~lbl:"a";
@@ -127,7 +180,6 @@ let tests =
         let st = fresh () in
         feed st (row [ i 1 ]) ~v:10 ~lbl:"a";
         feed st (row [ i 1 ]) ~v:20 ~lbl:"a";
-        flush_distinct st (row [ i 1 ]) (i 1);
         (* pretend a determined attribute moved from 10/20-base to +5 each:
            Shift_sum adds delta x n *)
         VS.adjust_group st ~key:(row [ i 1 ]) ~new_key:(row [ i 2 ])
@@ -149,16 +201,17 @@ let tests =
         let st = fresh () in
         VS.set_value st ~key:(row [ i 7 ]) ~item:4 (i 0);
         Alcotest.(check int) "still empty" 0 (VS.group_count st));
-    test "render raises while non-CSMAS recompute is pending" (fun () ->
+    test "a re-created group renders its fresh components" (fun () ->
         let st = fresh () in
         feed st (row [ i 1 ]) ~v:10 ~lbl:"a";
         ignore (VS.take_dirty st);
         unfeed st (row [ i 1 ]) ~v:10 ~lbl:"a";
         feed st (row [ i 1 ]) ~v:5 ~lbl:"b";
-        (* the distinct component was re-created and is pending *)
-        flush_distinct st (row [ i 1 ]) (i 1);
+        no_dirt st;
         match rows st with
-        | [ _ ] -> ()
+        | [ (r, 1) ] ->
+          Alcotest.check value "max" (i 5) r.(4);
+          Alcotest.check value "distinct" (i 1) r.(5)
         | _ -> Alcotest.fail "expected one row");
     test "fold_groups exposes base-row counts" (fun () ->
         let st = fresh () in
